@@ -3,17 +3,14 @@
 Every benchmark module regenerates one figure or evaluation of the paper
 and prints the series it produces (paper-vs-measured shape comparisons are
 recorded in EXPERIMENTS.md).  The pytest-benchmark fixture times the
-representative computation of each artifact, and the session-finish hook
-below writes every fixture timing into the machine-readable trajectory
-file ``BENCH_analysis.json`` (see ``bench_record.py``) so each PR leaves a
-comparable perf record.
+representative computation of each artifact.  Nothing here writes a file:
+the repository's perf record is the end-to-end benchmark under
+``benchmarks/e2e/``.
 """
 
 from __future__ import annotations
 
 import os
-
-from bench_record import record_benchmarks
 
 
 def usable_cpus() -> int:
@@ -63,31 +60,6 @@ def round_trip_messages(
                 )
             )
     return messages
-
-
-def _trajectory_name(bench) -> str:
-    """The name a benchmark's trajectory entry is recorded under.
-
-    Defaults to the pytest fullname.  A benchmark can claim a stable,
-    distinct name by setting ``benchmark.extra_info["trajectory_name"]`` —
-    used e.g. by the store-backed analysis bench so its entry never
-    collides with (or overwrites) the in-memory analysis-phase entries and
-    the trajectory stays comparable entry-by-entry across PRs.
-    """
-    extra = getattr(bench, "extra_info", None) or {}
-    return extra.get("trajectory_name", bench.fullname)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Record every pytest-benchmark timing into ``BENCH_analysis.json``."""
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None:  # pytest-benchmark absent or disabled
-        return
-    record_benchmarks(
-        (_trajectory_name(bench), stats.mean, stats.rounds)
-        for bench in getattr(bench_session, "benchmarks", [])
-        if (stats := getattr(bench, "stats", None))
-    )
 
 
 def print_table(title: str, headers: list[str], rows: list[list[str]]) -> None:

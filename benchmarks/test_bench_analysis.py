@@ -8,7 +8,6 @@ Python projection loop — reproduced faithfully below and cross-checked via
 ``estimate_clock_bounds_lp``) and the live implementation (exact geometric
 envelope solver, single-pass message bucketing, numpy-broadcast
 projection) on the same four-host experiment data, verifies they agree,
-records both timings plus the speedup factor in ``BENCH_analysis.json``,
 and asserts the required >= 5x improvement.
 """
 
@@ -19,7 +18,6 @@ import time
 
 import pytest
 
-from bench_record import record_benchmark, record_speedup
 from conftest import print_table, round_trip_messages, usable_cpus
 from repro.analysis.clock_sync import (
     SyncMessageRecord,
@@ -146,9 +144,6 @@ def test_bench_analysis_phase_speedup():
     assert len(timeline.entries) == len(legacy_projected)
 
     speedup = legacy_elapsed / new_elapsed if new_elapsed > 0 else float("inf")
-    record_benchmark("analysis_phase_legacy_lp", legacy_elapsed, REPEATS_LEGACY)
-    record_benchmark("analysis_phase_geometric", new_elapsed, REPEATS_NEW)
-    record_speedup("analysis_phase_speedup", speedup, REPEATS_LEGACY)
     print_table(
         f"Analysis phase — {len(HOSTS)} hosts, "
         f"{len(messages)} sync messages, "
@@ -168,6 +163,6 @@ def test_bench_analysis_phase_speedup():
 
 
 def test_bench_analysis_phase_fixture(benchmark):
-    """pytest-benchmark timing of the live analysis phase (trajectory entry)."""
+    """pytest-benchmark timing of the live analysis phase."""
     messages, timelines = build_four_host_experiment()
     benchmark(current_analysis_phase, messages, timelines)

@@ -12,7 +12,6 @@ import time
 
 import pytest
 
-from bench_record import record_speedup
 from conftest import print_table, round_trip_messages, usable_cpus
 from repro.analysis.clock_sync import (
     SyncMessageRecord,
@@ -87,7 +86,6 @@ def test_geometric_solver_beats_scipy_lp():
     assert geometric.beta_upper == pytest.approx(lp.beta_upper, abs=1e-9)
 
     speedup = lp_elapsed / geometric_elapsed if geometric_elapsed > 0 else float("inf")
-    record_speedup("clock_sync_solver_speedup_200msgs", speedup, 20)
     print_table(
         "Clock-sync solver — 200-message constraint set",
         ["solver", "per solve", "speedup"],

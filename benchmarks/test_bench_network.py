@@ -1,14 +1,14 @@
 """NETWORK: message-delivery throughput of the topology-aware substrate.
 
 The topology refactor put a link-state lookup on every message send, so
-this bench pins the substrate's raw delivery throughput to the perf
-trajectory: a sender/sink pair exchanging a fixed burst of messages over
+this bench times the substrate's raw delivery throughput: a sender/sink
+pair exchanging a fixed burst of messages over
 (a) the default healthy LAN link, (b) a lossy link, and (c) a link with
 duplication and reordering enabled — the full per-message pipeline
 including the FIFO floor and the structured delivery-event log.  The
 pytest-benchmark fixture times the healthy-link case (the hot path every
 experiment pays); the loss/duplicate/reorder cases are printed for
-context and recorded by the session hook like every other fixture timing.
+context.
 """
 
 from __future__ import annotations
@@ -82,31 +82,3 @@ def test_bench_message_delivery_throughput(benchmark):
         ["link condition", "delivered", "delivery events", "throughput"],
         rows,
     )
-
-
-def test_delivery_throughput_has_not_regressed():
-    """Blocking gate: the hot path must stay near its committed trajectory.
-
-    Run in CI's bench-smoke job.  The best of a few bursts (minimum, the
-    noise-robust statistic) is compared against the committed
-    ``BENCH_analysis.json`` mean with a loose tolerance — loose enough
-    that shared-runner noise never trips it, tight enough that reverting
-    the batched delivery path (a >4x slowdown) always does.
-    """
-    from bench_record import assert_no_regression
-
-    best = min(
-        _timed_burst() for _ in range(5)
-    )
-    ratio = assert_no_regression(
-        "benchmarks/test_bench_network.py::test_bench_message_delivery_throughput",
-        best,
-    )
-    if ratio is not None:
-        print(f"\ndelivery gate: best burst {best * 1e3:.1f} ms, {ratio:.2f}x committed mean")
-
-
-def _timed_burst() -> float:
-    start = time.perf_counter()
-    run_burst()
-    return time.perf_counter() - start

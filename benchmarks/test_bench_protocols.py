@@ -1,25 +1,13 @@
-"""PROTOCOLS: the real-protocol scenario suite as a perf trajectory.
+"""PROTOCOLS: the real-protocol scenario suite, timed.
 
 Times the protocol campaign — the four base scenarios (Raft-style
 election, quorum register, SWIM detector, DFS master/replica) run
 back-to-back through the full pipeline — and prints a per-scenario
 comparison (acceptance, protocol-note volume, headline measure) over all
 twelve protocol variants.
-
-Two gate surfaces ride along:
-
-* the pytest-benchmark fixture records the campaign timing into the
-  ``BENCH_analysis.json`` trajectory under a stable name, and
-* :func:`test_protocol_campaign_has_not_regressed` (run in CI's blocking
-  bench-smoke job) compares a fresh best-of-three timing against the
-  committed trajectory mean via ``assert_no_regression`` — an accidental
-  quadratic in an app's message handling or a simulator hot path shows
-  up here before it shows up as a slow CI suite.
 """
 
 from __future__ import annotations
-
-import time
 
 from conftest import print_table
 from repro.core.campaign import CampaignConfig
@@ -34,8 +22,6 @@ BASE_SCENARIOS = ("raft-election", "quorum-register", "swim-detector", "dfs-mast
 PROTOCOL_SCENARIOS = tuple(
     scenario.name for scenario in DEFAULT_REGISTRY if "protocol" in scenario.tags
 )
-
-TRAJECTORY_NAME = "benchmarks/test_bench_protocols.py::protocol_suite_campaign"
 
 EXPERIMENTS = 2
 SEED = 7
@@ -60,8 +46,6 @@ def run_protocol_campaign() -> int:
 
 def test_bench_protocol_suite_campaign(benchmark):
     """Time the base-scenario campaign and print the full variant table."""
-    benchmark.extra_info["trajectory_name"] = TRAJECTORY_NAME
-
     rows = []
     for name in PROTOCOL_SCENARIOS:
         scenario = DEFAULT_REGISTRY.get(name)
@@ -102,22 +86,3 @@ def test_bench_protocol_suite_campaign(benchmark):
         ["scenario", "accepted", "notes", "measure", "mean"],
         rows,
     )
-
-
-def test_protocol_campaign_has_not_regressed():
-    """Blocking gate: the protocol campaign stays near its trajectory mean."""
-    from bench_record import assert_no_regression
-
-    best = min(_timed_campaign() for _ in range(3))
-    ratio = assert_no_regression(TRAJECTORY_NAME, best)
-    if ratio is not None:
-        print(
-            f"\nprotocol gate: best campaign {best * 1e3:.1f} ms, "
-            f"{ratio:.2f}x committed mean"
-        )
-
-
-def _timed_campaign() -> float:
-    start = time.perf_counter()
-    run_protocol_campaign()
-    return time.perf_counter() - start

@@ -7,13 +7,11 @@ Three questions:
    record encoding plus the append I/O.)
 2. How fast is the run-once/analyze-many path — the analysis phase re-run
    purely from archived records, zero simulator invocations?
-   (``analysis_phase_store_backed``: recorded under its own distinct
-   trajectory name via ``extra_info`` so it never collides with the
-   in-memory ``analysis_phase_*`` entries in ``BENCH_analysis.json``.)
+   (``test_bench_store_reanalysis``.)
 3. What does archiving cost at campaign scale?  The codec bench streams a
    synthetic study holding **one million timeline records** through the
    columnar store and reads every record back
-   (``store_roundtrip_1m_records``), with the JSONL codec timed on a
+   (``test_bench_store_roundtrip_1m_records``), with the JSONL codec timed on a
    sample of the same payload for the comparison table.
 
 Correctness is asserted before timings are recorded: the store-loaded
@@ -87,7 +85,6 @@ def test_bench_store_reanalysis(benchmark, tmp_path):
     loaded = store.load_analysis(campaign)
     assert analysis_fingerprint(loaded) == analysis_fingerprint(live)
 
-    benchmark.extra_info["trajectory_name"] = "analysis_phase_store_backed"
     benchmark(store.load_analysis, campaign)
 
 
@@ -169,7 +166,6 @@ def test_bench_store_roundtrip_1m_records(benchmark, tmp_path):
             shutil.rmtree(directory, ignore_errors=True)
         return count
 
-    benchmark.extra_info["trajectory_name"] = "store_roundtrip_1m_records"
     # A single 1M-record round trip takes seconds: pedantic with a few
     # rounds keeps the bench session affordable at full scale.
     counted = benchmark.pedantic(columnar_roundtrip, rounds=3, iterations=1)

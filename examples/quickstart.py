@@ -45,7 +45,7 @@ def main() -> None:
     parser.add_argument("--backend", choices=available_backends(), default="serial",
                         help="campaign execution backend (results are identical)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for the process-pool backend")
+                        help="worker processes for the parallel backend (either name)")
     parser.add_argument("--store", default=None, metavar="DIR",
                         help="record into (and resume from) a campaign store directory")
     options = parser.parse_args()

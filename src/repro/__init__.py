@@ -38,7 +38,6 @@ from repro.core.campaign import (
 )
 from repro.core.execution import (
     ExecutionConfig,
-    ProcessPoolExecutor,
     SerialExecutor,
     available_backends,
     build_executor,
@@ -46,6 +45,7 @@ from repro.core.execution import (
 )
 from repro.core.runtime.context import NodeDefinition, RestartPolicy, WatchdogConfig
 from repro.core.runtime.designs import CommunicationMode, DaemonPlacement, RuntimeDesign
+from repro.dist import ParallelExecutor
 from repro.pipeline import (
     AnalyzedExperiment,
     CampaignAnalysis,
@@ -81,7 +81,7 @@ __all__ = [
     "ExperimentResult",
     "HostConfig",
     "NodeDefinition",
-    "ProcessPoolExecutor",
+    "ParallelExecutor",
     "RestartPolicy",
     "RuntimeDesign",
     "Scenario",

@@ -1,4 +1,4 @@
-"""Campaign execution engine: serial, process-pool, and distributed backends.
+"""Campaign execution engine: the serial backend and the parallel one.
 
 Loki evaluations need thousands of experiments per study to estimate
 correct-injection probabilities and coverage measures, and every experiment
@@ -8,23 +8,20 @@ is an independent unit of work: it derives its own seed from the public
 its siblings.  That makes experiment-level parallelism embarrassingly
 available, and this module supplies it behind a small engine:
 
-* :class:`ExecutionConfig` selects a backend (``"serial"``,
-  ``"process-pool"``, or ``"distributed"``), a worker count, a chunk
+* :class:`ExecutionConfig` selects a backend, a worker count, a lease
   size, and the fault-tolerance knobs (retry budget, backoff base,
   heartbeat cadence);
-* :class:`SerialExecutor` runs experiments in-process in index order
-  (bit-identical to the historical ``CampaignRunner.run`` loop);
-* :class:`ProcessPoolExecutor` fans experiments out across a
-  ``concurrent.futures`` fork pool, surviving worker crashes by retrying
-  the lost chunks within the configured budget;
-* :class:`~repro.dist.coordinator.DistributedExecutor` (backend
-  ``"distributed"``) shards the campaign across supervised worker
-  processes behind a sockets-based coordinator with heartbeats, lease
-  reassignment, and idempotent completion resolution — see
-  :mod:`repro.dist`.
+* :class:`SerialExecutor` (``"serial"``) runs experiments in-process in
+  index order (bit-identical to the historical ``CampaignRunner.run``
+  loop);
+* :class:`~repro.dist.coordinator.ParallelExecutor` (``"process-pool"``
+  and ``"distributed"``, two names for the same engine) leases shards of
+  the campaign to forked worker processes over inherited pipes, under a
+  coordinator with heartbeats, lease reassignment, and idempotent
+  completion resolution — see :mod:`repro.dist`.
 
 Each worker re-derives its experiment seed from the study seed and
-experiment index, so scheduling order cannot change any outcome: all
+experiment index, so scheduling order cannot change any outcome: both
 backends produce identical per-experiment seeds, timelines, and measure
 values — even across crashes, retries, and duplicated deliveries.
 
@@ -48,10 +45,10 @@ configuration fingerprint and derived seed) instead of re-running them.
 That turns any campaign into a durable, resumable, analyze-many artifact;
 see :mod:`repro.store`.
 
-The process-pool backend requires the ``fork`` start method (study
+The parallel backend requires the ``fork`` start method (study
 configurations carry application factories — often closures — that cannot
 be pickled; forked workers inherit them through process memory instead).
-On platforms without ``fork`` the backend raises
+On platforms without ``fork`` it raises
 :class:`~repro.errors.RuntimeConfigurationError`; use
 :func:`available_backends` to pick dynamically.
 """
@@ -60,10 +57,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
-import warnings
-from concurrent import futures as _futures
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -83,11 +76,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: Backend name: run every experiment in the calling process, in order.
 SERIAL = "serial"
 
-#: Backend name: fan experiments out across a ``multiprocessing`` fork pool.
+#: Backend name: lease shards of the campaign to supervised, forked worker
+#: processes behind the fault-tolerant coordinator in :mod:`repro.dist`.
 PROCESS_POOL = "process-pool"
 
-#: Backend name: shard the campaign across supervised worker processes
-#: behind the fault-tolerant coordinator in :mod:`repro.dist`.
+#: Backend name: a second name for :data:`PROCESS_POOL` (the same engine).
 DISTRIBUTED = "distributed"
 
 #: Callback signature for progress streaming: ``(study_name, done, total)``.
@@ -116,17 +109,20 @@ class ExecutionConfig:
     Parameters
     ----------
     backend:
-        ``"serial"``, ``"process-pool"``, or ``"distributed"``.
+        ``"serial"``, or ``"process-pool"`` / ``"distributed"`` — two
+        names for the one parallel engine; every other field means the
+        same under both.
     workers:
-        Worker processes for the pool and distributed backends; ``None``
-        uses the machine's CPU count.  Ignored by the serial backend.
+        Worker processes of the parallel backend; ``None`` uses the
+        machine's CPU count.  Ignored by the serial backend.
     chunk_size:
-        How many experiments each pool task carries.  Larger chunks
-        amortize IPC overhead for campaigns of many fast experiments.
-        ``None`` (the default) picks ``max(1, tasks // (4 * workers))``
-        automatically — about four waves of chunks per worker, so large
-        campaigns stop paying per-task IPC overhead while load stays
-        balanced; explicit values are honored unchanged.
+        How many experiments one lease (a contiguous shard of one study)
+        carries: the unit of dispatch, retry, and reassignment.  Results
+        stream back one experiment at a time whatever the size.  ``None``
+        (the default) picks ``max(1, tasks // (4 * workers))``
+        automatically — about four waves of leases per worker, so load
+        stays balanced while a lost lease stays cheap to re-run; explicit
+        values are honored unchanged.
     keep_raw_results:
         Fused run-and-analyze execution normally strips the raw
         ``local_timelines`` / ``sync_messages`` payloads from each analyzed
@@ -137,20 +133,19 @@ class ExecutionConfig:
         ``(study_name, completed_in_study, total_in_study)``.  Never
         pickled: it runs in the coordinating process only.
     max_retries:
-        How many times the pool and distributed backends re-attempt work
-        lost to a crashed worker (a broken pool, a dead shard lease)
-        before giving up with
+        How many times the parallel backend re-attempts a lease lost to a
+        dead worker before giving up with
         :class:`~repro.errors.ExecutionInterrupted`.  ``0`` disables
         retries; determinism makes every retry bit-safe.
     retry_backoff_base_s:
         First-retry backoff delay; successive retries double it (with
         jitter from the dedicated supervision RNG stream).
     heartbeat_interval_s:
-        How often distributed workers beat, and how often the
-        coordinator sweeps for silence.
+        How often workers beat, and how often the coordinator sweeps for
+        silence.
     heartbeat_timeout_s:
-        Silence span after which the coordinator declares a distributed
-        worker dead and reassigns its shard.  Must exceed the interval.
+        Silence span after which the coordinator declares a worker dead
+        and re-queues its lease.  Must exceed the interval.
     """
 
     backend: str = SERIAL
@@ -203,26 +198,26 @@ class ExecutionConfig:
 
     @staticmethod
     def process_pool(workers: int | None = None, **kwargs) -> "ExecutionConfig":
-        """A process-pool configuration with ``workers`` processes."""
+        """A parallel-backend configuration with ``workers`` processes."""
         return ExecutionConfig(backend=PROCESS_POOL, workers=workers, **kwargs)
 
     @staticmethod
     def distributed(workers: int | None = None, **kwargs) -> "ExecutionConfig":
-        """A distributed-backend configuration with ``workers`` processes."""
+        """The same engine as :meth:`process_pool`, under its other name."""
         return ExecutionConfig(backend=DISTRIBUTED, workers=workers, **kwargs)
 
     def resolved_workers(self) -> int:
-        """The concrete worker count the pool backend will use."""
+        """The concrete worker count the parallel backend will use."""
         if self.workers is not None:
             return self.workers
         return os.cpu_count() or 1
 
     def resolved_chunk_size(self, task_count: int, workers: int) -> int:
-        """The concrete pool chunk size for a campaign of ``task_count`` tasks.
+        """The concrete lease size for a campaign of ``task_count`` tasks.
 
         An explicit ``chunk_size`` is honored as-is; the ``None`` default
-        aims for roughly four chunks per worker so per-task IPC overhead
-        is amortized without starving the pool of work to balance.
+        aims for roughly four leases per worker so dispatch overhead is
+        amortized without starving the fleet of work to balance.
         """
         if self.chunk_size is not None:
             return self.chunk_size
@@ -235,10 +230,10 @@ class ExecutionConfig:
 #
 # A task is identified by (study_index, experiment_index) — a pair of small
 # picklable integers.  The campaign configuration itself never crosses the
-# process boundary: the pool is created with the fork start method after
-# the configuration has been published in ``_WORKER_STATE``, so workers
-# inherit it through copy-on-write process memory.  This is what lets
-# studies carry arbitrary (unpicklable) application factories.
+# process boundary: workers are forked after the configuration has been
+# published in ``_WORKER_STATE``, so they inherit it through copy-on-write
+# process memory.  This is what lets studies carry arbitrary (unpicklable)
+# application factories.
 
 _WORKER_STATE: dict = {}
 
@@ -291,23 +286,6 @@ def _fused_task(task: tuple[int, int]) -> tuple[int, int, "AnalyzedExperiment"]:
     return study_index, experiment_index, analyzed
 
 
-def _chunk_task(task, chunk: list[tuple[int, int]]) -> list:
-    """One pool submission: a chunk of tasks, completed together."""
-    return [task(item) for item in chunk]
-
-
-def _describe_tasks(
-    campaign: "CampaignConfig", tasks: Sequence[tuple[int, int]], limit: int = 5
-) -> str:
-    """Name the first few ``(study, index)`` tasks for error messages."""
-    names = [
-        f"{campaign.studies[study_index].name}:{experiment_index}"
-        for study_index, experiment_index in tasks[:limit]
-    ]
-    suffix = f", ... (+{len(tasks) - limit} more)" if len(tasks) > limit else ""
-    return ", ".join(names) + suffix
-
-
 def _resume_hint(store: "CampaignStore") -> str:
     """What a crashed campaign's operator should do next."""
     return (
@@ -346,40 +324,28 @@ class ExperimentExecutor:
         it finishes, and experiments whose records already exist (matching
         configuration fingerprint and seed) are loaded instead of re-run.
         """
-        from repro.core.campaign import CampaignResult
+        from repro.core.campaign import CampaignResult, StudyResult
 
-        if store is None:
-            slots = self._run(campaign, _runtime_task, runner_class)
-        else:
-            cached, pending, offsets = self._partition_cached(campaign, store)
+        def sink(study_index: int, experiment_index: int, result) -> None:
+            store.append(result)
 
-            def sink(study_index: int, experiment_index: int, result) -> None:
-                store.append(result)
-
-            try:
-                slots = self._run(
-                    campaign, _runtime_task, runner_class,
-                    tasks=pending, sink=sink, done_offsets=offsets,
-                )
-            except ExecutionInterrupted as error:
-                error.add_note(_resume_hint(store))
-                raise
-            for (study_index, experiment_index), result in cached.items():
-                slots[study_index][experiment_index] = result
+        slots, cached = self._run(campaign, _runtime_task, runner_class, store, sink)
+        for (study_index, experiment_index), result in cached.items():
+            slots[study_index][experiment_index] = result
         result = CampaignResult(config=campaign)
         for study, experiments in zip(campaign.studies, slots):
-            result.studies[study.name] = self._study_result(study, experiments)
+            result.studies[study.name] = StudyResult(config=study, experiments=experiments)
         return result
 
     def run_study(
         self, study: "StudyConfig", runner_class: type | None = None
     ) -> "StudyResult":
         """Runtime phase of a single study outside a campaign."""
-        from repro.core.campaign import CampaignConfig
+        from repro.core.campaign import CampaignConfig, StudyResult
 
         campaign = CampaignConfig(name=f"campaign-{study.name}", studies=[study])
-        slots = self._run(campaign, _runtime_task, runner_class)
-        return self._study_result(study, slots[0])
+        slots, _ = self._run(campaign, _runtime_task, runner_class)
+        return StudyResult(config=study, experiments=slots[0])
 
     def run_and_analyze(
         self,
@@ -404,50 +370,39 @@ class ExperimentExecutor:
         returned analysis is slimmed identically on every backend, so
         attaching a store never changes any analyzed value.
         """
-        from repro.core.campaign import CampaignResult
+        from repro.core.campaign import CampaignResult, StudyResult
         from repro.pipeline import CampaignAnalysis, StudyAnalysis, analyze_experiment
 
-        if store is None:
-            slots = self._run(campaign, _fused_task, runner_class)
-        else:
-            cached, pending, offsets = self._partition_cached(campaign, store)
-            keep_raw = self.config.keep_raw_results
+        keep_raw = self.config.keep_raw_results
 
-            def sink(study_index: int, experiment_index: int, analyzed) -> None:
-                store.append(analyzed.result)
-                if not keep_raw:
-                    analyzed.result = replace(
-                        analyzed.result, local_timelines={}, sync_messages=[]
-                    )
+        def slim(analyzed) -> None:
+            if not keep_raw:
+                analyzed.result = replace(analyzed.result, local_timelines={}, sync_messages=[])
 
-            # Workers must keep raw payloads so the coordinator can persist
-            # them; the sink above re-applies the configured slimming.
-            try:
-                slots = self._run(
-                    campaign, _fused_task, runner_class,
-                    tasks=pending, sink=sink, done_offsets=offsets,
-                    keep_raw_override=True,
-                )
-            except ExecutionInterrupted as error:
-                error.add_note(_resume_hint(store))
-                raise
-            # Analyze the cached records in the coordinator, releasing each
-            # raw payload as soon as its analysis (and slimming) is done so
-            # the resume path does not hold the whole archive in memory.
-            while cached:
-                (study_index, experiment_index), result = cached.popitem()
-                study = campaign.studies[study_index]
-                analyzed = analyze_experiment(result, study.fault_specifications())
-                if not keep_raw:
-                    analyzed.result = replace(
-                        analyzed.result, local_timelines={}, sync_messages=[]
-                    )
-                slots[study_index][experiment_index] = analyzed
+        def sink(study_index: int, experiment_index: int, analyzed) -> None:
+            store.append(analyzed.result)
+            slim(analyzed)
+
+        # With a store, workers must keep raw payloads so the coordinator
+        # can persist them; the sink above re-applies the configured slimming.
+        slots, cached = self._run(
+            campaign, _fused_task, runner_class, store, sink,
+            keep_raw_override=None if store is None else True,
+        )
+        # Analyze the cached records in the coordinator, releasing each raw
+        # payload as soon as its analysis (and slimming) is done so the
+        # resume path does not hold the whole archive in memory.
+        while cached:
+            (study_index, experiment_index), result = cached.popitem()
+            study = campaign.studies[study_index]
+            analyzed = analyze_experiment(result, study.fault_specifications())
+            slim(analyzed)
+            slots[study_index][experiment_index] = analyzed
         campaign_result = CampaignResult(config=campaign)
         analysis = CampaignAnalysis(campaign=campaign_result)
         for study, analyzed in zip(campaign.studies, slots):
-            study_result = self._study_result(
-                study, [experiment.result for experiment in analyzed]
+            study_result = StudyResult(
+                config=study, experiments=[experiment.result for experiment in analyzed]
             )
             campaign_result.studies[study.name] = study_result
             analysis.studies[study.name] = StudyAnalysis(
@@ -456,17 +411,6 @@ class ExperimentExecutor:
         return analysis
 
     # -- helpers -----------------------------------------------------------------------
-
-    @staticmethod
-    def _study_result(study: "StudyConfig", experiments: Sequence) -> "StudyResult":
-        from repro.core.campaign import StudyResult
-
-        missing = [index for index, value in enumerate(experiments) if value is None]
-        if missing:  # pragma: no cover - defensive: a worker died mid-campaign
-            raise RuntimeConfigurationError(
-                f"study {study.name!r} lost experiments {missing} during execution"
-            )
-        return StudyResult(config=study, experiments=list(experiments))
 
     @staticmethod
     def _tasks(campaign: "CampaignConfig") -> list[tuple[int, int]]:
@@ -478,7 +422,7 @@ class ExperimentExecutor:
 
     @staticmethod
     def _partition_cached(
-        campaign: "CampaignConfig", store: "CampaignStore"
+        campaign: "CampaignConfig", store: "CampaignStore | None"
     ) -> tuple[dict[tuple[int, int], "ExperimentResult"], list[tuple[int, int]], list[int]]:
         """Split a campaign into store-cached and still-pending experiments.
 
@@ -487,6 +431,7 @@ class ExperimentExecutor:
         records that may be reused keyed by task id, the tasks that must
         actually run, and the per-study count of reused records (so
         progress reporting counts skipped experiments as already done).
+        Without a store nothing is cached and everything is pending.
 
         The cached records are decoded eagerly (seed validation needs the
         payload), so peak memory on resume is proportional to the reused
@@ -495,14 +440,15 @@ class ExperimentExecutor:
         re-decodes lazily would trade that peak for double decode cost —
         the right move once archives outgrow memory (sharded campaigns).
         """
-        store.attach(campaign)
         cached: dict[tuple[int, int], "ExperimentResult"] = {}
         offsets = [0] * len(campaign.studies)
-        for study_index, study in enumerate(campaign.studies):
-            for experiment_index, result in store.resumable_records(study).items():
-                if 0 <= experiment_index < study.experiments:
-                    cached[(study_index, experiment_index)] = result
-                    offsets[study_index] += 1
+        if store is not None:
+            store.attach(campaign)
+            for study_index, study in enumerate(campaign.studies):
+                for experiment_index, result in store.resumable_records(study).items():
+                    if 0 <= experiment_index < study.experiments:
+                        cached[(study_index, experiment_index)] = result
+                        offsets[study_index] += 1
         pending = [
             task for task in ExperimentExecutor._tasks(campaign) if task not in cached
         ]
@@ -522,6 +468,11 @@ class ExperimentExecutor:
         through.  ``done_offsets`` pre-counts experiments satisfied from
         the store so progress reports completed-of-total over the whole
         study, not just the freshly executed remainder.
+
+        The slots of the tasks that ran come back without holes: a
+        completion stream (:meth:`_completions`) yields every task exactly
+        once or raises — lost work is reported by
+        :class:`~repro.errors.ExecutionInterrupted`, never by a gap.
         """
         slots: list[list] = [[None] * study.experiments for study in campaign.studies]
         done = list(done_offsets) if done_offsets is not None else [0] * len(campaign.studies)
@@ -536,194 +487,70 @@ class ExperimentExecutor:
                 progress(study.name, done[study_index], study.experiments)
         return slots
 
-    def _publish_state(
-        self,
-        campaign: "CampaignConfig",
-        runner_class: type | None,
-        keep_raw_override: bool | None = None,
-    ) -> None:
-        from repro.core.campaign import CampaignRunner
-
-        _WORKER_STATE["campaign"] = campaign
-        _WORKER_STATE["keep_raw_results"] = (
-            self.config.keep_raw_results if keep_raw_override is None else keep_raw_override
-        )
-        _WORKER_STATE["runner"] = runner_class or CampaignRunner
-
     def _run(
         self,
         campaign: "CampaignConfig",
         task,
         runner_class: type | None,
-        tasks: list[tuple[int, int]] | None = None,
-        sink: CompletionSink | None = None,
-        done_offsets: Sequence[int] | None = None,
+        store: "CampaignStore | None" = None,
+        store_sink: CompletionSink | None = None,
         keep_raw_override: bool | None = None,
-    ) -> list[list]:
+    ) -> tuple[list[list], dict[tuple[int, int], "ExperimentResult"]]:
+        """Run what ``store`` does not already hold; returns ``(slots, cached)``.
+
+        ``slots`` has every freshly run task's value in place; ``cached``
+        are the store's reusable records, for the caller to slot in.
+        ``store_sink`` streams completions into ``store`` (ignored without
+        one).
+        """
+        from repro.core.campaign import CampaignRunner
+
+        cached, items, done_offsets = self._partition_cached(campaign, store)
+        sink = None if store is None else store_sink
+        # Publish the campaign (and runner class) before any worker is
+        # forked: workers inherit them through process memory, so
+        # unpicklable study contents never cross a process boundary (only
+        # (study, experiment) index pairs do).
+        _WORKER_STATE["campaign"] = campaign
+        _WORKER_STATE["keep_raw_results"] = (
+            self.config.keep_raw_results if keep_raw_override is None else keep_raw_override
+        )
+        _WORKER_STATE["runner"] = runner_class or CampaignRunner
+        completions = self._completions(campaign, task, items)
+        try:
+            return self._collect(campaign, completions, sink, done_offsets), cached
+        except ExecutionInterrupted as error:
+            if store is not None:
+                error.add_note(_resume_hint(store))
+            raise
+        finally:
+            # Also reached when a sink or progress callback raised: closing
+            # the stream is what reaps a parallel backend's workers.
+            completions.close()
+            _WORKER_STATE.clear()
+
+    def _completions(
+        self, campaign: "CampaignConfig", task, items: list[tuple[int, int]]
+    ) -> Iterator[tuple[int, int, object]]:
+        """Run ``items`` through ``task``, yielding each result as it finishes."""
         raise NotImplementedError
 
 
 class SerialExecutor(ExperimentExecutor):
     """Run every experiment in the calling process, in index order."""
 
-    def _run(
-        self,
-        campaign: "CampaignConfig",
-        task,
-        runner_class: type | None,
-        tasks: list[tuple[int, int]] | None = None,
-        sink: CompletionSink | None = None,
-        done_offsets: Sequence[int] | None = None,
-        keep_raw_override: bool | None = None,
-    ) -> list[list]:
-        self._publish_state(campaign, runner_class, keep_raw_override)
-        items = self._tasks(campaign) if tasks is None else tasks
-        try:
-            return self._collect(
-                campaign,
-                (task(item) for item in items),
-                sink=sink,
-                done_offsets=done_offsets,
-            )
-        finally:
-            _WORKER_STATE.clear()
-
-
-class ProcessPoolExecutor(ExperimentExecutor):
-    """Fan experiments out across a ``concurrent.futures`` fork pool.
-
-    Determinism is preserved by construction: every experiment derives its
-    seed from ``RandomStreams(study.seed).derive(f"experiment:{name}:{i}")``
-    inside the worker and runs in a private environment, so neither the
-    number of workers nor the completion order can alter any result, and
-    completions are re-slotted by experiment index before aggregation.
-
-    A crashed worker (OOM-killed, segfaulted, SIGKILLed) breaks the whole
-    pool; instead of surfacing the raw ``BrokenProcessPool`` traceback and
-    abandoning the campaign, the executor keeps every chunk that finished,
-    rebuilds a fresh pool, and retries the lost chunks — up to the
-    configured ``max_retries``, with exponential backoff — before giving
-    up with :class:`~repro.errors.ExecutionInterrupted` naming the lost
-    experiments (and, when a campaign store is attached, how to resume).
-    Determinism makes re-running a lost chunk bit-safe.
-    """
-
-    def _run(
-        self,
-        campaign: "CampaignConfig",
-        task,
-        runner_class: type | None,
-        tasks: list[tuple[int, int]] | None = None,
-        sink: CompletionSink | None = None,
-        done_offsets: Sequence[int] | None = None,
-        keep_raw_override: bool | None = None,
-    ) -> list[list]:
-        if PROCESS_POOL not in available_backends():
-            raise RuntimeConfigurationError(
-                "the process-pool backend needs the 'fork' multiprocessing start "
-                "method, which this platform does not provide; use the serial backend"
-            )
-        items = self._tasks(campaign) if tasks is None else tasks
-        if not items:
-            # Fully resumed campaign: nothing to fork for.
-            return self._collect(campaign, (), sink=sink, done_offsets=done_offsets)
-        # Publish the campaign (and runner class) before forking: workers
-        # inherit them through process memory, so unpicklable study contents
-        # never cross the process boundary (only (study, experiment) index
-        # pairs do).
-        self._publish_state(campaign, runner_class, keep_raw_override)
-        try:
-            return self._collect(
-                campaign,
-                self._pool_completions(campaign, task, items),
-                sink=sink,
-                done_offsets=done_offsets,
-            )
-        finally:
-            _WORKER_STATE.clear()
-
-    def _pool_completions(
+    def _completions(
         self, campaign: "CampaignConfig", task, items: list[tuple[int, int]]
     ) -> Iterator[tuple[int, int, object]]:
-        """Stream completions, surviving broken pools within the retry budget.
-
-        Work is submitted in chunks; a chunk either completes atomically
-        or is still pending when the pool breaks, so the retry set is
-        exactly the unfinished chunks — nothing finished is re-run, and
-        nothing pending is lost.
-        """
-        from repro.dist.supervision import RetryPolicy, SystemClock, supervision_stream
-
-        policy = RetryPolicy.from_execution(self.config)
-        rng = supervision_stream(campaign, "pool-retry-jitter")
-        clock = SystemClock()
-        context = multiprocessing.get_context("fork")
-        pending = list(items)
-        attempt = 0
-        while pending:
-            workers = min(self.config.resolved_workers(), len(pending))
-            chunk_size = self.config.resolved_chunk_size(len(pending), workers)
-            chunks = [
-                pending[offset:offset + chunk_size]
-                for offset in range(0, len(pending), chunk_size)
-            ]
-            finished = [False] * len(chunks)
-            broken: BrokenProcessPool | None = None
-            pool = _futures.ProcessPoolExecutor(max_workers=workers, mp_context=context)
-            try:
-                submitted = [pool.submit(_chunk_task, task, chunk) for chunk in chunks]
-                positions = {future: index for index, future in enumerate(submitted)}
-                for future in _futures.as_completed(submitted):
-                    try:
-                        completions = future.result()
-                    except BrokenProcessPool as error:
-                        # The pool marks every unfinished future broken at
-                        # once; keep draining so finished chunks still yield.
-                        broken = error
-                        continue
-                    finished[positions[future]] = True
-                    yield from completions
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-            if broken is None:
-                return
-            pending = [
-                item
-                for index, chunk in enumerate(chunks)
-                if not finished[index]
-                for item in chunk
-            ]
-            attempt += 1
-            if policy.exhausted(attempt):
-                raise ExecutionInterrupted(
-                    f"a process-pool worker died and {len(pending)} experiment(s) "
-                    f"were still unfinished after {policy.max_retries} retries: "
-                    f"{_describe_tasks(campaign, pending)}",
-                    pending=[
-                        (campaign.studies[study_index].name, experiment_index)
-                        for study_index, experiment_index in pending
-                    ],
-                ) from broken
-            warnings.warn(
-                f"a process-pool worker died with {len(pending)} experiment(s) "
-                f"in flight ({_describe_tasks(campaign, pending)}); rebuilding "
-                f"the pool (retry {attempt} of {policy.max_retries})"
-            )
-            clock.wait(threading.Event(), policy.delay(attempt, rng))
-
-
-_EXECUTORS = {
-    SERIAL: SerialExecutor,
-    PROCESS_POOL: ProcessPoolExecutor,
-}
+        return (task(item) for item in items)
 
 
 def build_executor(config: ExecutionConfig | None) -> ExperimentExecutor:
     """Instantiate the executor class selected by ``config``."""
     config = config or ExecutionConfig()
-    if config.backend == DISTRIBUTED:
-        # Imported lazily: repro.dist builds on this module.
-        from repro.dist.coordinator import DistributedExecutor
+    if config.backend == SERIAL:
+        return SerialExecutor(config)
+    # Imported lazily: repro.dist builds on this module.
+    from repro.dist.coordinator import ParallelExecutor
 
-        return DistributedExecutor(config)
-    return _EXECUTORS[config.backend](config)
+    return ParallelExecutor(config)

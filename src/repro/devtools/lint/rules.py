@@ -32,7 +32,8 @@ R005      record-format-sync    A module declaring ``RECORD_FORMAT_VERSION`` mus
                                 keeping old records decodable breaks resume.
 R006      injectable-clock      :mod:`repro.dist` takes time only through the
                                 injected ``SupervisionClock``: no bare
-                                ``time.sleep`` / ``asyncio.sleep`` outside
+                                ``time.sleep``, ``multiprocessing.connection.wait``
+                                or ``Connection.poll(timeout)`` outside
                                 ``dist/supervision.py``, so supervision logic
                                 stays drivable by ``FakeClock`` in tests.
 ========  ====================  ====================================================
@@ -521,19 +522,28 @@ class RecordFormatSync(Rule):
 # R006 injectable-clock
 # ---------------------------------------------------------------------------
 
-_BANNED_SLEEP_CHAINS = frozenset({"time.sleep", "asyncio.sleep"})
+#: The blocking real-time primitives, as ``module -> function``.
+_BANNED_WAITS = {"time": "sleep", "multiprocessing.connection": "wait"}
+_BANNED_WAIT_CHAINS = frozenset(
+    f"{module}.{function}" for module, function in _BANNED_WAITS.items()
+)
+_USE_THE_CLOCK = (
+    "take time through the injected SupervisionClock (see "
+    "dist/supervision.py) so supervision stays testable with FakeClock"
+)
 
 
 @register
 class InjectableClock(Rule):
     """``repro.dist`` takes time only through the injected clock.
 
-    Supervision behavior — heartbeat expiry, retry backoff, connect
-    windows — must be drivable by :class:`repro.dist.supervision.FakeClock`
-    in unit tests, so every sleep and wait in :mod:`repro.dist` goes
-    through the :class:`~repro.dist.supervision.SupervisionClock` seam.
-    Only ``dist/supervision.py`` (where the real clock lives behind that
-    seam) may touch ``time``/``asyncio`` sleeping primitives directly;
+    Supervision behavior — heartbeat expiry, retry backoff, the
+    coordinator's wait for a readable pipe — must be drivable by
+    :class:`repro.dist.supervision.FakeClock` in unit tests, so every
+    sleep and timed wait in :mod:`repro.dist` goes through the
+    :class:`~repro.dist.supervision.SupervisionClock` seam.  Only
+    ``dist/supervision.py`` (where the real clock lives behind that seam)
+    may sleep, wait on connections, or poll one with a timeout directly;
     wall-clock *reads* are already R002's business, which applies in
     ``dist/`` too.
     """
@@ -542,7 +552,8 @@ class InjectableClock(Rule):
     name = "injectable-clock"
     description = (
         "repro.dist takes time only through the injected SupervisionClock: "
-        "no bare time.sleep/asyncio.sleep outside dist/supervision.py, so "
+        "no bare time.sleep, multiprocessing.connection.wait or "
+        "Connection.poll(timeout) outside dist/supervision.py, so "
         "supervision logic stays testable with FakeClock instead of real waits"
     )
 
@@ -557,29 +568,30 @@ class InjectableClock(Rule):
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            if alias.name.split(".", 1)[0] in ("time", "asyncio"):
+            if alias.name.split(".", 1)[0] in ("time", "multiprocessing"):
                 self._aliases.bind_import(alias)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
         if node.level:
             return
-        if module in ("time", "asyncio"):
-            for alias in node.names:
-                if alias.name == "sleep":
-                    self.report(
-                        node,
-                        f"bare 'from {module} import sleep' in repro.dist — "
-                        "take time through the injected SupervisionClock so "
-                        "supervision stays testable with FakeClock",
-                    )
+        for alias in node.names:
+            if _BANNED_WAITS.get(module) == alias.name:
+                self.report(
+                    node,
+                    f"bare 'from {module} import {alias.name}' in repro.dist — "
+                    + _USE_THE_CLOCK,
+                )
+            elif (module, alias.name) == ("multiprocessing", "connection"):
+                self._aliases.bind(alias.asname or alias.name, "multiprocessing.connection")
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         chain = self._aliases.resolve(node)
-        if chain in _BANNED_SLEEP_CHAINS:
-            self.report(
-                node,
-                f"bare '{chain}' in repro.dist — take time through the "
-                "injected SupervisionClock (see dist/supervision.py) so "
-                "supervision stays testable with FakeClock",
-            )
+        if chain in _BANNED_WAIT_CHAINS:
+            self.report(node, f"bare '{chain}' in repro.dist — " + _USE_THE_CLOCK)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        # ``poll()`` only looks; ``poll(timeout)`` blocks on the real clock.
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "poll" and (node.args or node.keywords):
+            self.report(node, "timed '.poll(timeout)' in repro.dist — " + _USE_THE_CLOCK)

@@ -1,51 +1,33 @@
-"""Fault-tolerant distributed campaign orchestration.
+"""Fault-tolerant parallel campaign orchestration.
 
-This package is the fleet-scale execution backend of the campaign engine
-(:mod:`repro.core.execution`): a :class:`CampaignCoordinator` shards a
-campaign into contiguous seed-range shards (:mod:`repro.dist.shards`),
-dispatches them to forked worker processes over a length-prefixed JSON
-protocol on localhost sockets (:mod:`repro.dist.protocol` — the wire
-format is host-agnostic, so the same messages would cross a LAN), and
-supervises the fleet with heartbeats, per-shard leases, retry with
-exponential backoff, and dead-worker shard reassignment
-(:mod:`repro.dist.supervision`, :mod:`repro.dist.coordinator`).
+This package is the parallel execution backend of the campaign engine
+(:mod:`repro.core.execution`), selected by either of its two names,
+``"process-pool"`` and ``"distributed"``:
 
-The design exploits the seed-derivation contract: every experiment's seed
-is ``RandomStreams(study.seed).derive(f"experiment:{name}:{i}")``, a pure
-function of the study configuration and the experiment index.  A shard can
-therefore run on *any* worker, *any* number of times, in *any* order, and
-the merged campaign stays bit-identical to a serial run — which is what
-makes crash recovery trivial to verify: the chaos harness under
-``tests/chaos/`` SIGKILLs workers mid-shard, drops heartbeats, and
-duplicates completions, then asserts bit-identical measures and store
-fingerprints.
+* :mod:`repro.dist.coordinator` — the supervision loop (leases,
+  heartbeats, retry with backoff, dead-worker replacement, idempotent
+  completions) and :class:`ParallelExecutor`, its adapter to the engine;
+  the design is described there;
+* :mod:`repro.dist.worker` — the forked worker process and the messages
+  it sends over its inherited pipe;
+* :mod:`repro.dist.shards` — contiguous seed-range shards, the unit of
+  lease and retry;
+* :mod:`repro.dist.supervision` — the injectable clock (the only module
+  that touches real time), the retry policy, the heartbeat monitor;
+* :mod:`repro.dist.protocol` — a JSON frame codec the engine does not
+  use, kept for the end-to-end benchmark's probes.
 
-Select the backend through the ordinary engine configuration::
-
-    ExecutionConfig(backend="distributed", workers=4)
-
-or ``ExecutionConfig.distributed(workers=4)``; ``run_and_analyze(...,
+Select the backend through the ordinary engine configuration,
+``ExecutionConfig.process_pool(workers=4)``; ``run_and_analyze(...,
 store=...)`` then streams every completed experiment into the campaign
-store exactly as the serial and pool backends do, so a killed-and-
-restarted campaign heals from the store.
+store exactly as the serial backend does, so a killed-and-restarted
+campaign heals from the store.
 """
 
 from __future__ import annotations
 
-from repro.dist.coordinator import (
-    CampaignCoordinator,
-    DistributedExecutor,
-    NoWorkersError,
-    WorkerOptions,
-)
-from repro.dist.protocol import (
-    MAX_FRAME_BYTES,
-    MessageChannel,
-    decode_frames,
-    encode_frame,
-    read_message,
-    write_message,
-)
+from repro.dist.coordinator import CampaignCoordinator, ParallelExecutor
+from repro.dist.protocol import MAX_FRAME_BYTES, decode_frames, encode_frame
 from repro.dist.shards import ShardSpec, plan_shards
 from repro.dist.supervision import (
     FakeClock,
@@ -54,15 +36,14 @@ from repro.dist.supervision import (
     SupervisionClock,
     SystemClock,
 )
+from repro.dist.worker import WorkerOptions
 
 __all__ = [
     "CampaignCoordinator",
-    "DistributedExecutor",
     "FakeClock",
     "HeartbeatMonitor",
     "MAX_FRAME_BYTES",
-    "MessageChannel",
-    "NoWorkersError",
+    "ParallelExecutor",
     "RetryPolicy",
     "ShardSpec",
     "SupervisionClock",
@@ -71,6 +52,4 @@ __all__ = [
     "decode_frames",
     "encode_frame",
     "plan_shards",
-    "read_message",
-    "write_message",
 ]

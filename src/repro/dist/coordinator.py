@@ -1,55 +1,48 @@
 """The campaign coordinator: shard dispatch, liveness, and recovery.
 
-:class:`CampaignCoordinator` owns one distributed campaign run.  Its life
-cycle is split to keep forking sound:
-
-1. :meth:`bootstrap` runs in the coordinating thread *before any thread
-   exists*: it binds the localhost listening socket, then forks the
-   worker processes (which inherit the published campaign through
-   copy-on-write memory, exactly like the pool backend — the OS backlog
-   holds their connections until the server starts accepting).
-2. :meth:`run` drives the asyncio supervision loop — on a dedicated
-   thread, with completions bridged back to the coordinating thread so
-   the engine's completion sink (and therefore the campaign store) keeps
-   running in the coordinating process like on every other backend.
+:class:`CampaignCoordinator` owns one parallel campaign run.  Its
+:meth:`~CampaignCoordinator.run` is a plain generator driven by the
+calling thread: it forks the workers (which inherit the published
+campaign through copy-on-write memory and one end of a duplex pipe each),
+then loops on "some pipe is readable, or the tick elapsed", yielding every
+first-time completion straight to the engine — so completion sinks (and
+therefore the campaign store) and progress callbacks run in the
+coordinating process, between two reads.  No thread is ever started on
+the coordinator side, which keeps forking a replacement worker
+mid-campaign sound.
 
 Supervision is lease-based.  Every shard is leased to exactly one worker
-at a time; a worker is declared dead on socket EOF (a SIGKILL's
-signature) or on heartbeat silence past the configured timeout, and its
-leased shard is re-queued after an exponential-backoff delay whose
-jitter comes from the dedicated supervision RNG stream.  Completions are
-resolved idempotently by ``(study, experiment)`` key — a reassigned
-shard whose original worker had already delivered part of its range
-produces duplicates, and determinism makes dropping them bit-safe.
-Degradation is graceful: fewer workers than requested is a warning, zero
-workers falls back to the serial backend, and retry exhaustion raises
-:class:`~repro.errors.ExecutionInterrupted` naming the lost shard — with
-the campaign store (if attached) already holding everything that
+at a time; a worker is declared dead on pipe EOF or a message cut off
+mid-way (a SIGKILL's signatures — never mistaken for "done") or on
+heartbeat silence past the configured timeout.  Its shard is re-queued
+behind an exponential-backoff not-before time whose jitter comes from the
+dedicated supervision RNG stream, and a replacement worker is forked so a
+campaign whose only worker died still finishes.  Completions are resolved
+idempotently by ``(study, experiment)`` key — a re-run shard whose
+original worker had already delivered part of its range produces
+duplicates, and determinism makes dropping them bit-safe.  Degradation is
+graceful: fewer workers than requested is a warning, zero workers falls
+back to an in-process serial run, and retry exhaustion raises
+:class:`~repro.errors.ExecutionInterrupted` naming the lost experiments —
+with the campaign store (if attached) already holding everything that
 completed, so a re-run heals instead of restarting.
 
-:class:`DistributedExecutor` adapts the coordinator to the execution
-engine's backend interface; select it with
-``ExecutionConfig(backend="distributed")``.
+:class:`ParallelExecutor` adapts the coordinator to the execution
+engine's backend interface; ``ExecutionConfig(backend="process-pool")``
+and ``ExecutionConfig(backend="distributed")`` both select it.
 """
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
-import socket
-import threading
+import pickle
 import warnings
 from collections import deque
-from dataclasses import dataclass, replace
-from queue import SimpleQueue
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from dataclasses import dataclass
+from multiprocessing.connection import Connection
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.core.execution import (
-    ExperimentExecutor,
-    _fused_task,
-    _WORKER_STATE,
-)
-from repro.dist import protocol
+from repro.core.execution import PROCESS_POOL, ExperimentExecutor, available_backends
 from repro.dist.shards import ShardSpec, plan_shards
 from repro.dist.supervision import (
     HeartbeatMonitor,
@@ -58,23 +51,27 @@ from repro.dist.supervision import (
     SystemClock,
     supervision_stream,
 )
-from repro.dist.worker import WorkerOptions, worker_main
+from repro.dist.worker import (
+    COMPLETION,
+    FAILURE,
+    SHARD_DONE,
+    Task,
+    WorkerOptions,
+    worker_main,
+)
 from repro.errors import (
     ExecutionInterrupted,
     NoWorkersError,
-    ProtocolError,
     RuntimeConfigurationError,
     RuntimePhaseError,
 )
-from repro.store.format import decode_record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.campaign import CampaignConfig
     from repro.core.execution import ExecutionConfig
 
-#: What the coordinator emits for every first-time completion:
-#: ``(study_index, experiment_index, encoded_record)``.
-CompletionEmitter = Callable[[int, int, str], None]
+#: One finished experiment: ``(study_index, experiment_index, value)``.
+Completion = tuple[int, int, object]
 
 
 @dataclass
@@ -83,17 +80,13 @@ class WorkerHandle:
 
     worker_id: int
     process: multiprocessing.process.BaseProcess
-    options: WorkerOptions
-    writer: asyncio.StreamWriter | None = None
-    connected: bool = False
-    ever_connected: bool = False
-    superseded: bool = False
-    shutdown_sent: bool = False
+    connection: Connection
+    alive: bool = True
     lease: ShardSpec | None = None
 
 
 class CampaignCoordinator:
-    """Supervises one distributed campaign run (see the module docstring).
+    """Supervises one parallel campaign run (see the module docstring).
 
     Subclass hooks — :meth:`worker_options` and
     :meth:`chaos_on_completion` — are the seams the chaos harness injects
@@ -105,49 +98,47 @@ class CampaignCoordinator:
         campaign: "CampaignConfig",
         shards: Sequence[ShardSpec],
         *,
+        task: Task,
         workers: int,
         config: "ExecutionConfig",
         clock: SupervisionClock | None = None,
-        connect_timeout_s: float = 10.0,
     ) -> None:
         if workers < 1:
-            raise NoWorkersError("a distributed campaign needs at least one worker")
+            raise NoWorkersError("a parallel campaign needs at least one worker")
         self.campaign = campaign
         self.shards = list(shards)
+        self.task = task
         self.requested_workers = workers
         self.config = config
         self.clock = clock or SystemClock()
-        self.connect_timeout_s = connect_timeout_s
         self.retry = RetryPolicy.from_execution(config)
         self.rng = supervision_stream(campaign)
         self.monitor = HeartbeatMonitor(config.heartbeat_timeout_s, self.clock)
+        #: Every worker ever started, dead ones included, by id.
         self.workers: dict[int, WorkerHandle] = {}
-        self.port: int | None = None
         self.stats = {
             "completions": 0,
             "duplicates_dropped": 0,
             "reassignments": 0,
             "workers_lost": 0,
         }
-        self._listen_socket: socket.socket | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._emit: CompletionEmitter | None = None
+        self._spawned = 0
+        self._total = sum(shard.size for shard in self.shards)
         self._ready: deque[ShardSpec] = deque(self.shards)
+        #: Lost shards waiting out their backoff: ``(not_before, shard)``.
+        self._backing_off: list[tuple[float, ShardSpec]] = []
         self._attempts: dict[int, int] = {}
-        self._completed_shards: set[int] = set()
         self._delivered: set[tuple[int, int]] = set()
-        self._done: asyncio.Event | None = None
-        self._failure: BaseException | None = None
-        self._background: set[asyncio.Task] = set()
 
-    # -- chaos / deployment seams ------------------------------------------------------
+    # -- chaos seams -------------------------------------------------------------------
 
     def worker_options(self, worker_id: int) -> WorkerOptions:
-        """Spawn parameters of one worker (chaos tests override per worker)."""
-        assert self.port is not None, "bootstrap() must bind before spawning"
+        """Spawn parameters of one worker (chaos tests override per worker).
+
+        Raising :class:`OSError` here stands in for a failing ``fork``.
+        """
         return WorkerOptions(
             worker_id=worker_id,
-            port=self.port,
             heartbeat_interval_s=self.config.heartbeat_interval_s,
         )
 
@@ -156,355 +147,238 @@ class CampaignCoordinator:
     ) -> None:
         """Hook invoked for every accepted completion (chaos tests override)."""
 
-    # -- phase 1: main-thread bootstrap (bind, then fork) ------------------------------
+    # -- the supervision loop ----------------------------------------------------------
 
-    def bootstrap(self) -> None:
-        """Bind the listening socket and fork the worker fleet.
+    def run(self) -> Iterator[Completion]:
+        """Drive the campaign, yielding each experiment once, in completion order.
 
-        Must run before any thread is started so the forked children are
-        single-threaded snapshots.  Raises
-        :class:`~repro.errors.NoWorkersError` when not a single worker
-        process could be spawned (the caller falls back to serial).
-        """
-        listener = socket.create_server(
-            ("127.0.0.1", 0), backlog=max(self.requested_workers, 8)
-        )
-        self._listen_socket = listener
-        self.port = listener.getsockname()[1]
-        context = multiprocessing.get_context("fork")
-        for worker_id in range(self.requested_workers):
-            options = self.worker_options(worker_id)
-            process = context.Process(
-                target=worker_main,
-                args=(options,),
-                name=f"dist-worker-{worker_id}",
-                daemon=True,
-            )
-            try:
-                process.start()
-            except OSError as error:  # pragma: no cover - fork exhaustion
-                warnings.warn(
-                    f"could not spawn distributed worker {worker_id}: {error}"
-                )
-                continue
-            self.workers[worker_id] = WorkerHandle(
-                worker_id=worker_id, process=process, options=options
-            )
-        if not self.workers:  # pragma: no cover - fork exhaustion
-            listener.close()
-            raise NoWorkersError("no distributed worker process could be spawned")
-
-    # -- phase 2: the supervision loop -------------------------------------------------
-
-    def run(self, emit: CompletionEmitter) -> dict[str, int]:
-        """Drive the campaign to completion; returns the supervision stats.
-
-        ``emit`` is called exactly once per experiment, in completion
-        order, with the worker's encoded record.
+        Returns when every experiment was delivered.  Raises
+        :class:`~repro.errors.NoWorkersError` before the first completion
+        if no worker could be started, the experiment's own exception if
+        one raised in a worker, and
+        :class:`~repro.errors.ExecutionInterrupted` when lost work
+        outlives the retry budget.  The fleet is reaped on every way out,
+        including the consumer closing the generator early.
         """
         try:
-            asyncio.run(self._run_async(emit))
+            self._start_fleet()
+            while len(self._delivered) < self._total:
+                self._dispatch()
+                live = {handle.connection: handle for handle in self._live()}
+                ready = self.clock.wait_readable(list(live), self._tick())
+                # Anything readable counts as a beat *before* the sweep: a
+                # consumer that was slow with the previous completion must
+                # not get workers whose beats queued up meanwhile expired.
+                for connection in ready:
+                    self.monitor.beat(live[connection].worker_id)
+                self._sweep()
+                for connection in ready:
+                    completion = self._receive(live[connection])
+                    if completion is not None:
+                        yield completion
         finally:
-            self.ensure_workers_stopped()
-        return dict(self.stats)
+            self._stop_fleet()
 
-    def request_shutdown(self) -> None:
-        """Thread-safe abort: stop supervising without raising (idempotent)."""
-        loop = self._loop
-        if loop is not None and not loop.is_closed():
+    def _tick(self) -> float:
+        """How long the loop may block: a heartbeat interval, or until a backoff ends."""
+        tick = self.config.heartbeat_interval_s
+        if self._backing_off:
+            soonest = min(not_before for not_before, _ in self._backing_off)
+            tick = min(tick, max(soonest - self.clock.monotonic(), 0.0))
+        return tick
+
+    def _sweep(self) -> None:
+        """Declare silent workers dead; re-queue shards whose backoff has passed."""
+        for worker_id in self.monitor.expired():
+            self._worker_lost(
+                self.workers[worker_id],
+                f"no heartbeat for over {self.monitor.timeout_s:g}s",
+            )
+        now = self.clock.monotonic()
+        self._ready.extend(shard for not_before, shard in self._backing_off if not_before <= now)
+        self._backing_off = [entry for entry in self._backing_off if entry[0] > now]
+
+    # -- the fleet ---------------------------------------------------------------------
+
+    def _live(self) -> list[WorkerHandle]:
+        return [handle for handle in self.workers.values() if handle.alive]
+
+    def _start_fleet(self) -> None:
+        for _ in range(self.requested_workers):
+            self._start_worker()
+        if not self.workers:
+            raise NoWorkersError("no worker process could be started")
+        if len(self.workers) < self.requested_workers:
+            warnings.warn(
+                f"requested {self.requested_workers} workers but only "
+                f"{len(self.workers)} could be started; proceeding degraded"
+            )
+
+    def _start_worker(self) -> None:
+        """Add one worker to the fleet; failing to only warns."""
+        worker_id = self._spawned
+        self._spawned += 1
+        try:
+            process, connection = self._fork(self.worker_options(worker_id))
+        except OSError as error:
+            warnings.warn(f"could not start worker {worker_id}: {error}")
+            return
+        self.workers[worker_id] = WorkerHandle(worker_id, process, connection)
+        self.monitor.beat(worker_id)
+
+    def _fork(
+        self, options: WorkerOptions
+    ) -> tuple[multiprocessing.process.BaseProcess, Connection]:
+        """Fork one worker process on a fresh duplex pipe; returns it with our end."""
+        context = multiprocessing.get_context("fork")
+        ours, theirs = context.Pipe(duplex=True)
+        try:
+            process = context.Process(
+                target=worker_main,
+                args=(
+                    options,
+                    theirs,
+                    self.task,
+                    [ours] + [handle.connection for handle in self._live()],
+                ),
+                name=f"campaign-worker-{options.worker_id}",
+                daemon=True,
+            )
+            process.start()
+        except OSError:
+            ours.close()
+            raise
+        finally:
+            # Only the worker may hold its end, or its death would never
+            # read as EOF here (and the next fork would inherit the copy).
+            theirs.close()
+        return process, ours
+
+    def _stop_fleet(self) -> None:
+        """Dismiss the live workers, then join every process, escalating."""
+        for handle in self._live():
             try:
-                loop.call_soon_threadsafe(self._finish)
-            except RuntimeError:  # pragma: no cover - loop closed concurrently
-                pass
-
-    def ensure_workers_stopped(self) -> None:
-        """Join every worker process, escalating to terminate and kill."""
-        for handle in self._handles():
+                handle.connection.send(None)
+            except OSError:
+                pass  # died since the last read; reaped below
+            handle.connection.close()
+        for handle in self.workers.values():
             process = handle.process
             process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
+            if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
             if process.is_alive():  # pragma: no cover - unkillable worker
                 process.kill()
                 process.join(timeout=1.0)
 
-    async def _run_async(self, emit: CompletionEmitter) -> None:
-        assert self._listen_socket is not None, "bootstrap() must run first"
-        self._loop = asyncio.get_running_loop()
-        self._emit = emit
-        self._done = asyncio.Event()
-        server = await asyncio.start_server(
-            self._serve_connection, sock=self._listen_socket
-        )
-        supervise = asyncio.ensure_future(self._supervise())
-        census = asyncio.ensure_future(self._connection_census())
-        try:
-            await self._done.wait()
-        finally:
-            supervise.cancel()
-            census.cancel()
-            for task in list(self._background):
-                task.cancel()
-            await self._shutdown_workers()
-            server.close()
-            await server.wait_closed()
-        if self._failure is not None:
-            raise self._failure
-
-    # -- connection handling -----------------------------------------------------------
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        handle: WorkerHandle | None = None
-        try:
-            hello = await protocol.read_message(reader)
-            if hello is None or hello.get("type") != protocol.HELLO:
-                writer.close()
-                return
-            handle = self.workers.get(hello.get("worker", -1))
-            if handle is None or handle.connected or handle.superseded:
-                writer.close()
-                return
-            handle.writer = writer
-            handle.connected = True
-            handle.ever_connected = True
-            self.monitor.beat(handle.worker_id)
-            self._dispatch()
-            while True:
-                message = await protocol.read_message(reader)
-                if message is None:
-                    break
-                self._handle_message(handle, message)
-        except (ProtocolError, ConnectionError, OSError):
-            pass  # a torn connection is handled as a worker failure below
-        except asyncio.CancelledError:
-            pass  # loop teardown cancelled a blocked read: a closed connection
-        if handle is not None:
-            self._worker_gone(handle, "connection lost")
-
-    def _handle_message(self, handle: WorkerHandle, message: dict) -> None:
-        self.monitor.beat(handle.worker_id)
-        kind = message["type"]
-        if kind == protocol.HEARTBEAT:
-            return
-        if kind == protocol.COMPLETION:
-            self._handle_completion(handle, message)
-        elif kind == protocol.SHARD_DONE:
-            self._handle_shard_done(handle, message)
-        elif kind == protocol.ERROR:
-            study = self.campaign.studies[message["study"]]
-            self._fail(
-                RuntimePhaseError(
-                    f"experiment {study.name}:{message['index']} failed on "
-                    f"distributed worker {handle.worker_id}:\n{message['message']}"
-                )
-            )
-
-    def _handle_completion(self, handle: WorkerHandle, message: dict) -> None:
-        key = (message["study"], message["index"])
-        if key in self._delivered:
-            # A reassigned shard's original worker got here first (or a
-            # chaotic worker double-sent): determinism makes the copies
-            # bit-identical, so first-wins is safe.
-            self.stats["duplicates_dropped"] += 1
-            return
-        self._delivered.add(key)
-        self.stats["completions"] += 1
-        assert self._emit is not None
-        self._emit(key[0], key[1], message["record"])
-        self.chaos_on_completion(handle.worker_id, key[0], key[1])
-
-    def _handle_shard_done(self, handle: WorkerHandle, message: dict) -> None:
-        shard_id = message["shard"]
-        self._completed_shards.add(shard_id)
-        self._attempts.pop(shard_id, None)
-        if handle.lease is not None and handle.lease.shard_id == shard_id:
-            handle.lease = None
-        if len(self._completed_shards) == len(self.shards):
-            self._finish()
-            return
-        self._dispatch()
-
-    # -- dispatch and leases -----------------------------------------------------------
+    # -- dispatch and receipt ----------------------------------------------------------
 
     def _dispatch(self) -> None:
-        while self._ready:
-            shard = self._ready[0]
-            if shard.shard_id in self._completed_shards:
-                self._ready.popleft()
-                continue
-            worker = self._idle_worker()
-            if worker is None:
+        """Lease ready shards to idle workers, lowest worker id first."""
+        for handle in self._live():
+            if not self._ready:
                 return
-            self._ready.popleft()
-            worker.lease = shard
-            self._spawn(self._send_assignment(worker, shard))
+            if handle.lease is None:
+                handle.lease = self._ready.popleft()
+                try:
+                    handle.connection.send(handle.lease)
+                except OSError as error:
+                    self._worker_lost(handle, f"lease send failed: {error}")
 
-    def _idle_worker(self) -> WorkerHandle | None:
-        for handle in self._handles():
-            if handle.connected and not handle.superseded and handle.lease is None:
-                return handle
+    def _receive(self, handle: WorkerHandle) -> Completion | None:
+        """Read one message; returns the completion if it is a first delivery."""
+        try:
+            message = handle.connection.recv()
+        except (EOFError, OSError, pickle.UnpicklingError) as error:
+            # EOF between messages, EOF inside one, or a torn pickle: died.
+            self._worker_lost(handle, f"connection lost: {str(error) or 'end of file'}")
+            return None
+        kind = message[0]
+        if kind == COMPLETION:
+            key = message[1], message[2]
+            if key in self._delivered:
+                # A re-run shard's original worker got here first (or a
+                # chaotic worker double-sent): determinism makes the copies
+                # bit-identical, so first-wins is safe.
+                self.stats["duplicates_dropped"] += 1
+                return None
+            self._delivered.add(key)
+            self.stats["completions"] += 1
+            self.chaos_on_completion(handle.worker_id, *key)
+            return message[1:]
+        if kind == SHARD_DONE:
+            handle.lease = None
+        elif kind == FAILURE:
+            raise self._experiment_error(handle, *message[1:])
         return None
 
-    async def _send_assignment(self, handle: WorkerHandle, shard: ShardSpec) -> None:
-        assert handle.writer is not None
-        try:
-            await protocol.write_message(
-                handle.writer,
-                {
-                    "type": protocol.ASSIGN,
-                    "shard": shard.shard_id,
-                    "study": shard.study_index,
-                    "start": shard.start,
-                    "stop": shard.stop,
-                },
-            )
-        except (ConnectionError, OSError):
-            self._worker_gone(handle, "assignment send failed")
-
-    def _spawn(self, coroutine) -> None:
-        task = asyncio.ensure_future(coroutine)
-        self._background.add(task)
-        task.add_done_callback(self._background.discard)
+    def _experiment_error(
+        self,
+        handle: WorkerHandle,
+        study_index: int,
+        experiment_index: int,
+        pickled: bytes | None,
+        remote_traceback: str,
+    ) -> BaseException:
+        """The exception an experiment raised in a worker, as serial would raise it."""
+        where = (
+            f"experiment {self.campaign.studies[study_index].name}:{experiment_index} "
+            f"on worker {handle.worker_id}"
+        )
+        if pickled is None:
+            return RuntimePhaseError(f"{where} failed:\n{remote_traceback}")
+        error: BaseException = pickle.loads(pickled)
+        error.add_note(f"raised by {where}; worker traceback:\n{remote_traceback}")
+        return error
 
     # -- failure handling --------------------------------------------------------------
 
-    def _worker_gone(self, handle: WorkerHandle, reason: str) -> None:
-        """A worker's connection ended: clean shutdown or a death."""
-        was_connected = handle.connected
-        handle.connected = False
+    def _worker_lost(self, handle: WorkerHandle, reason: str) -> None:
+        """Bury a dead (or hung) worker, recover its lease, fork a replacement."""
+        handle.alive = False
+        handle.connection.close()
+        handle.process.kill()  # a hung worker must not outlive its verdict
         self.monitor.forget(handle.worker_id)
-        if handle.shutdown_sent or handle.superseded or self._is_done():
-            return
-        if was_connected:
-            self.stats["workers_lost"] += 1
-            self._release_lease(handle, reason)
-
-    def _declare_dead(self, handle: WorkerHandle, reason: str) -> None:
-        """Heartbeat expiry: supersede the worker and recover its lease."""
-        handle.superseded = True
-        handle.connected = False
-        self.monitor.forget(handle.worker_id)
-        if handle.writer is not None:
-            handle.writer.close()
         self.stats["workers_lost"] += 1
-        self._release_lease(handle, reason)
-
-    def _release_lease(self, handle: WorkerHandle, reason: str) -> None:
         shard, handle.lease = handle.lease, None
-        if shard is not None and shard.shard_id not in self._completed_shards:
+        if shard is not None and not self._delivered.issuperset(shard.tasks()):
             attempt = self._attempts.get(shard.shard_id, 0) + 1
             self._attempts[shard.shard_id] = attempt
+            pending = self._pending_tasks()
+            named = ", ".join(f"{study}:{index}" for study, index in pending[:5])
+            if len(pending) > 5:
+                named += f", ... (+{len(pending) - 5} more)"
             if self.retry.exhausted(attempt):
-                self._fail(
-                    ExecutionInterrupted(
-                        f"distributed worker {handle.worker_id} died ({reason}) "
-                        f"and {shard.describe()} exhausted its "
-                        f"{self.retry.max_retries} retries",
-                        pending=self._pending_tasks(),
-                    )
+                raise ExecutionInterrupted(
+                    f"worker {handle.worker_id} died ({reason}) and {shard.describe()} "
+                    f"exhausted its {self.retry.max_retries} retries; "
+                    f"{len(pending)} experiment(s) unfinished: {named}",
+                    pending=pending,
                 )
-                return
-            self.stats["reassignments"] += 1
-            self._spawn(
-                self._requeue_after(shard, self.retry.delay(attempt, self.rng))
-            )
-        self._check_fleet_alive()
-
-    async def _requeue_after(self, shard: ShardSpec, delay: float) -> None:
-        await self.clock.sleep(delay)
-        if shard.shard_id in self._completed_shards or self._is_done():
-            return
-        self._ready.append(shard)
-        self._dispatch()
-        self._check_fleet_alive()
-
-    def _check_fleet_alive(self) -> None:
-        """Abort when work remains but every worker is gone for good."""
-        if self._is_done() or len(self._completed_shards) == len(self.shards):
-            return
-        handles = self._handles()
-        any_ever = any(handle.ever_connected for handle in handles)
-        any_live = any(
-            handle.connected and not handle.superseded for handle in handles
-        )
-        if any_ever and not any_live:
-            self._fail(
-                ExecutionInterrupted(
-                    "every distributed worker died with "
-                    f"{len(self.shards) - len(self._completed_shards)} shard(s) "
-                    "unfinished",
-                    pending=self._pending_tasks(),
-                )
-            )
-
-    async def _supervise(self) -> None:
-        """Periodic heartbeat sweep: declare silent workers dead."""
-        while True:
-            await self.clock.sleep(self.config.heartbeat_interval_s)
-            for worker_id in self.monitor.expired():
-                self._declare_dead(
-                    self.workers[worker_id],
-                    f"no heartbeat for over {self.monitor.timeout_s:g}s",
-                )
-
-    async def _connection_census(self) -> None:
-        """After the connect window: degrade gracefully or give up."""
-        await self.clock.sleep(self.connect_timeout_s)
-        connected = sum(1 for handle in self._handles() if handle.ever_connected)
-        if connected == 0:
-            self._fail(
-                NoWorkersError(
-                    f"none of the {self.requested_workers} distributed workers "
-                    f"connected within {self.connect_timeout_s:g}s"
-                )
-            )
-        elif connected < self.requested_workers:
             warnings.warn(
-                f"distributed backend requested {self.requested_workers} workers "
-                f"but only {connected} connected; proceeding degraded"
+                f"worker {handle.worker_id} died ({reason}) holding {shard.describe()}; "
+                f"retry {attempt} of {self.retry.max_retries}, "
+                f"{len(pending)} experiment(s) unfinished: {named}"
             )
-
-    # -- small helpers -----------------------------------------------------------------
-
-    def _handles(self) -> list[WorkerHandle]:
-        return [self.workers[worker_id] for worker_id in sorted(self.workers)]
+            self.stats["reassignments"] += 1
+            not_before = self.clock.monotonic() + self.retry.delay(attempt, self.rng)
+            self._backing_off.append((not_before, shard))
+        self._start_worker()
+        if not self._live():
+            raise ExecutionInterrupted(
+                "every worker died and no replacement could be started",
+                pending=self._pending_tasks(),
+            )
 
     def _pending_tasks(self) -> list[tuple[str, int]]:
         """The experiments not yet delivered, as (study name, index) pairs."""
-        pending: list[tuple[str, int]] = []
-        for shard in self.shards:
-            study = self.campaign.studies[shard.study_index]
-            for index in range(shard.start, shard.stop):
-                if (shard.study_index, index) not in self._delivered:
-                    pending.append((study.name, index))
-        return pending
-
-    def _is_done(self) -> bool:
-        return self._done is not None and self._done.is_set()
-
-    def _finish(self) -> None:
-        if self._done is not None and not self._done.is_set():
-            self._done.set()
-
-    def _fail(self, error: BaseException) -> None:
-        if self._failure is None:
-            self._failure = error
-        self._finish()
-
-    async def _shutdown_workers(self) -> None:
-        for handle in self._handles():
-            if handle.connected and handle.writer is not None:
-                handle.shutdown_sent = True
-                try:
-                    await protocol.write_message(
-                        handle.writer, {"type": protocol.SHUTDOWN}
-                    )
-                    handle.writer.close()
-                except (ConnectionError, OSError):  # pragma: no cover - racing death
-                    pass
+        return [
+            (self.campaign.studies[study_index].name, index)
+            for shard in self.shards
+            for study_index, index in shard.tasks()
+            if (study_index, index) not in self._delivered
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +386,14 @@ class CampaignCoordinator:
 # ---------------------------------------------------------------------------
 
 
-class DistributedExecutor(ExperimentExecutor):
-    """The ``"distributed"`` execution backend.
+class ParallelExecutor(ExperimentExecutor):
+    """The one parallel backend, under both of its names.
 
-    Plans contiguous seed-range shards, bootstraps a
-    :class:`CampaignCoordinator` (socket bind and worker fork in the
-    coordinating thread, supervision loop on a pump thread), and feeds
-    the coordinator's completion stream through the engine's shared
-    ``_collect`` path — so completion sinks (campaign-store streaming)
-    and progress callbacks behave exactly as on the serial and pool
-    backends.  Workers run only the runtime phase; for fused
-    run-and-analyze execution the analysis phase runs coordinator-side
-    on each record as it arrives.
+    Plans contiguous seed-range shards of ``chunk_size`` experiments and
+    feeds a :class:`CampaignCoordinator`'s completion stream through the
+    engine's shared ``_collect`` path — so completion sinks
+    (campaign-store streaming) and progress callbacks behave exactly as on
+    the serial backend.
 
     ``coordinator_class`` is a test seam: the chaos harness substitutes
     coordinator subclasses that inject faults through the supervision
@@ -532,154 +402,42 @@ class DistributedExecutor(ExperimentExecutor):
 
     coordinator_class: type[CampaignCoordinator] = CampaignCoordinator
 
-    #: How long to wait for worker connections before degrading.
-    connect_timeout_s: float = 10.0
+    _stats: dict[str, int] = {}
 
-    def _run(
-        self,
-        campaign: "CampaignConfig",
-        task,
-        runner_class: type | None,
-        tasks: list[tuple[int, int]] | None = None,
-        sink=None,
-        done_offsets: Sequence[int] | None = None,
-        keep_raw_override: bool | None = None,
-    ) -> list[list]:
-        from repro.core.execution import DISTRIBUTED, available_backends
+    @property
+    def stats(self) -> dict[str, int]:
+        """Supervision counters of the most recent run (empty before the first).
 
-        if DISTRIBUTED not in available_backends():
-            raise RuntimeConfigurationError(
-                "the distributed backend needs the 'fork' multiprocessing start "
-                "method, which this platform does not provide; use the serial backend"
-            )
-        items = self._tasks(campaign) if tasks is None else tasks
-        if not items:
-            # Fully resumed campaign: nothing to fork for.
-            return self._collect(campaign, (), sink=sink, done_offsets=done_offsets)
-        fused = task is _fused_task
-        keep_raw = (
-            self.config.keep_raw_results
-            if keep_raw_override is None
-            else keep_raw_override
-        )
-        workers = min(self.config.resolved_workers(), len(items))
-        shards = plan_shards(
-            items, self.config.resolved_chunk_size(len(items), workers)
-        )
-        workers = min(workers, len(shards))
-        # Publish before bootstrap(): the forked workers inherit the
-        # campaign through process memory, like the pool backend.
-        self._publish_state(campaign, runner_class, keep_raw_override)
-        try:
-            coordinator = self.coordinator_class(
-                campaign,
-                shards,
-                workers=workers,
-                config=self.config,
-                connect_timeout_s=self.connect_timeout_s,
-            )
-            try:
-                coordinator.bootstrap()
-                return self._collect(
-                    campaign,
-                    self._completions(campaign, coordinator, fused, keep_raw),
-                    sink=sink,
-                    done_offsets=done_offsets,
-                )
-            except NoWorkersError as error:
-                return self._serial_fallback(
-                    campaign, task, items, sink, done_offsets, error
-                )
-        finally:
-            _WORKER_STATE.clear()
-
-    def _serial_fallback(
-        self,
-        campaign: "CampaignConfig",
-        task,
-        items: list[tuple[int, int]],
-        sink,
-        done_offsets: Sequence[int] | None,
-        error: NoWorkersError,
-    ) -> list[list]:
-        """Zero workers: degrade to an in-process serial run.
-
-        Safe because :class:`~repro.errors.NoWorkersError` is only raised
-        before any completion has been emitted.
+        ``completions``, ``duplicates_dropped``, ``reassignments`` and
+        ``workers_lost``, as counted by the run's coordinator.
         """
-        warnings.warn(
-            "distributed backend falling back to in-process serial "
-            f"execution: {error}"
-        )
-        return self._collect(
-            campaign,
-            (task(item) for item in items),
-            sink=sink,
-            done_offsets=done_offsets,
-        )
+        return dict(self._stats)
 
     def _completions(
-        self,
-        campaign: "CampaignConfig",
-        coordinator: CampaignCoordinator,
-        fused: bool,
-        keep_raw: bool,
-    ) -> Iterator[tuple[int, int, object]]:
-        """Bridge the coordinator thread's completions to the caller.
-
-        The supervision loop runs on a pump thread and enqueues encoded
-        records; this generator — consumed in the coordinating thread by
-        ``_collect`` — decodes each record and (in fused mode) runs its
-        analysis phase, so sinks and progress run where they always do.
-        """
-        queue: SimpleQueue = SimpleQueue()
-
-        def pump() -> None:
-            try:
-                coordinator.run(
-                    lambda study, index, record: queue.put(
-                        ("item", study, index, record)
-                    )
-                )
-            except BaseException as error:
-                queue.put(("error", error, None, None))
-            else:
-                queue.put(("done", None, None, None))
-
-        thread = threading.Thread(target=pump, name="dist-coordinator", daemon=True)
-        thread.start()
+        self, campaign: "CampaignConfig", task: Task, items: list[tuple[int, int]]
+    ) -> Iterator[Completion]:
+        if PROCESS_POOL not in available_backends():
+            raise RuntimeConfigurationError(
+                f"the {self.config.backend} backend needs the 'fork' multiprocessing "
+                "start method, which this platform does not provide; use the serial "
+                "backend"
+            )
+        if not items:
+            return  # fully resumed campaign: nothing to fork for
+        workers = min(self.config.resolved_workers(), len(items))
+        shards = plan_shards(items, self.config.resolved_chunk_size(len(items), workers))
+        coordinator = self.coordinator_class(
+            campaign,
+            shards,
+            task=task,
+            workers=min(workers, len(shards)),
+            config=self.config,
+        )
         try:
-            while True:
-                kind, first, second, third = queue.get()
-                if kind == "done":
-                    break
-                if kind == "error":
-                    raise first
-                result = decode_record(third)
-                yield first, second, self._materialize(
-                    campaign, first, result, fused, keep_raw
-                )
+            yield from coordinator.run()
+        except NoWorkersError as error:
+            # Raised only before the first completion, so nothing runs twice.
+            warnings.warn(f"falling back to in-process serial execution: {error}")
+            yield from map(task, items)
         finally:
-            # Reached on errors *and* when the consumer abandons us
-            # (e.g. a sink raised): stop supervising, reap the fleet.
-            coordinator.request_shutdown()
-            thread.join(timeout=30.0)
-
-    def _materialize(
-        self,
-        campaign: "CampaignConfig",
-        study_index: int,
-        result,
-        fused: bool,
-        keep_raw: bool,
-    ):
-        """Turn a worker's raw record into what the engine mode expects."""
-        if not fused:
-            return result
-        from repro.pipeline import analyze_experiment
-
-        study = campaign.studies[study_index]
-        analyzed = analyze_experiment(result, study.fault_specifications())
-        if not keep_raw:
-            analyzed.result = replace(result, local_timelines={}, sync_messages=[])
-        return analyzed
+            self._stats = dict(coordinator.stats)

@@ -1,58 +1,29 @@
-"""Length-prefixed JSON message framing for coordinator/worker sockets.
+"""Length-prefixed JSON frame codec.
 
 One frame is a 4-byte big-endian payload length followed by that many
-bytes of UTF-8 JSON (one object per frame).  The format is deliberately
-transport- and host-agnostic: the coordinator speaks it over asyncio
-streams (:func:`read_message` / :func:`write_message`), the synchronous
-worker loop speaks it over a plain socket (:class:`MessageChannel`), and
-nothing in a frame assumes the peer shares memory — experiment payloads
-cross as :func:`repro.store.format.encode_record` strings, whose round
-trip is bit-exact by the store's pinned contract.  Running workers on
-another host would change only how the connection is established.
+bytes of UTF-8 JSON holding one object with a string ``type`` field.
 
-Message vocabulary (the ``type`` field):
-
-==============  =========  ====================================================
-Type            Direction  Meaning
-==============  =========  ====================================================
-``hello``       w -> c     Worker ``worker`` is connected and idle.
-``assign``      c -> w     Lease of one shard: run experiments ``start`` to
-                           ``stop`` (exclusive) of study index ``study``.
-``completion``  w -> c     One finished experiment: ``record`` carries the
-                           encoded :class:`~repro.core.campaign.ExperimentResult`.
-``shard-done``  w -> c     Every experiment of shard ``shard`` was delivered.
-``heartbeat``   w -> c     Liveness beacon, sent every heartbeat interval.
-``error``       w -> c     An experiment raised; ``message`` is the traceback.
-``shutdown``    c -> w     No more shards; the worker exits its loop.
-==============  =========  ====================================================
+The execution engine does not use this module: workers are forked from
+the coordinating process and exchange pickled messages over inherited
+pipes (:mod:`repro.dist.worker`).  The codec is kept because the frozen
+end-to-end benchmark (``benchmarks/e2e``) probes :func:`encode_frame` and
+:func:`decode_frames` by name; it can go when that benchmark drops the
+two ``dist.protocol.*`` layer metrics.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-import socket
 import struct
-import threading
 from typing import Any, Iterator
 
 from repro.errors import ProtocolError
 
 #: Frames above this size indicate corruption (or a runaway payload), not
-#: legitimate traffic; both ends refuse them instead of allocating blindly.
+#: legitimate traffic; both directions refuse them instead of allocating blindly.
 MAX_FRAME_BYTES = 1 << 30
 
 _LENGTH = struct.Struct(">I")
-
-# -- worker -> coordinator ----------------------------------------------------
-HELLO = "hello"
-HEARTBEAT = "heartbeat"
-COMPLETION = "completion"
-SHARD_DONE = "shard-done"
-ERROR = "error"
-# -- coordinator -> worker ----------------------------------------------------
-ASSIGN = "assign"
-SHUTDOWN = "shutdown"
 
 
 def encode_frame(message: dict[str, Any]) -> bytes:
@@ -77,7 +48,7 @@ def _decode_payload(payload: bytes) -> dict[str, Any]:
 
 
 def decode_frames(data: bytes) -> Iterator[dict[str, Any]]:
-    """Decode every complete frame in ``data`` (a testing/debugging aid)."""
+    """Decode every complete frame in ``data``; a cut-off frame is an error."""
     offset = 0
     while offset + _LENGTH.size <= len(data):
         (length,) = _LENGTH.unpack_from(data, offset)
@@ -88,82 +59,3 @@ def decode_frames(data: bytes) -> Iterator[dict[str, Any]]:
             raise ProtocolError("truncated protocol frame")
         yield _decode_payload(data[offset : offset + length])
         offset += length
-
-
-async def read_message(reader: asyncio.StreamReader) -> dict[str, Any] | None:
-    """The next message from an asyncio stream, or ``None`` on clean EOF.
-
-    EOF in the middle of a frame — the signature a SIGKILLed worker leaves
-    behind — raises :class:`~repro.errors.ProtocolError` so the supervisor
-    can distinguish "worker done" from "worker died mid-message".
-    """
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ProtocolError("connection lost inside a frame header") from None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection lost inside a frame payload") from None
-    return _decode_payload(payload)
-
-
-async def write_message(writer: asyncio.StreamWriter, message: dict[str, Any]) -> None:
-    """Send one message over an asyncio stream and drain the buffer."""
-    writer.write(encode_frame(message))
-    await writer.drain()
-
-
-class MessageChannel:
-    """Synchronous framing over a connected socket (the worker's side).
-
-    Sends are serialized by a lock so the heartbeat thread and the
-    experiment loop can share the connection without interleaving frames.
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self._socket = sock
-        self._send_lock = threading.Lock()
-        self._buffer = b""
-
-    def send(self, message: dict[str, Any]) -> None:
-        """Send one message (thread-safe)."""
-        frame = encode_frame(message)
-        with self._send_lock:
-            self._socket.sendall(frame)
-
-    def _read_exactly(self, count: int) -> bytes | None:
-        while len(self._buffer) < count:
-            chunk = self._socket.recv(65536)
-            if not chunk:
-                if self._buffer:
-                    raise ProtocolError("connection lost inside a frame")
-                return None
-            self._buffer += chunk
-        data, self._buffer = self._buffer[:count], self._buffer[count:]
-        return data
-
-    def recv(self) -> dict[str, Any] | None:
-        """The next message, or ``None`` on clean EOF."""
-        header = self._read_exactly(_LENGTH.size)
-        if header is None:
-            return None
-        (length,) = _LENGTH.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
-        payload = self._read_exactly(length)
-        if payload is None:
-            raise ProtocolError("connection lost inside a frame payload")
-        return _decode_payload(payload)
-
-    def close(self) -> None:
-        """Close the underlying socket (idempotent)."""
-        try:
-            self._socket.close()
-        except OSError:  # pragma: no cover - close never meaningfully fails
-            pass

@@ -1,9 +1,9 @@
 """Supervision primitives: clocks, heartbeats, leases, retry/backoff.
 
 This is the **only** module of :mod:`repro.dist` that may touch real time
-(lint rule R006): everything else — the coordinator's heartbeat ticks and
-backoff sleeps, the worker's heartbeat thread, the pool backend's retry
-delays — takes time through an injected :class:`SupervisionClock`, so unit
+(lint rule R006): everything else — the coordinator's wait for a readable
+pipe, its heartbeat sweep and backoff deadlines, the worker's heartbeat
+thread — takes time through an injected :class:`SupervisionClock`, so unit
 tests drive supervision logic with :class:`FakeClock` instead of sleeping,
 and a reviewer can audit every wall-clock dependency in one file.
 
@@ -17,11 +17,12 @@ experiment's seed.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from multiprocessing.connection import Connection
+from multiprocessing.connection import wait as wait_for_connections
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from repro.sim.rng import RandomStream, RandomStreams
 
@@ -37,38 +38,48 @@ class SupervisionClock(Protocol):
         """Seconds on a monotonically increasing clock."""
         ...  # pragma: no cover - protocol
 
-    async def sleep(self, seconds: float) -> None:
-        """Suspend the calling coroutine for ``seconds``."""
-        ...  # pragma: no cover - protocol
-
     def wait(self, event: threading.Event, seconds: float) -> bool:
         """Block up to ``seconds`` for ``event``; True when it was set."""
         ...  # pragma: no cover - protocol
 
+    def wait_readable(
+        self, connections: Sequence[Connection], seconds: float
+    ) -> list[Connection]:
+        """Block until a connection is readable or ``seconds`` pass.
+
+        Returns the readable ones in the order given (a closed peer
+        counts as readable: the read then reports the EOF), empty on
+        timeout.
+        """
+        ...  # pragma: no cover - protocol
+
 
 class SystemClock:
-    """The real clock: monotonic time, asyncio sleeps, event waits."""
+    """The real clock: monotonic time, event waits, pipe waits."""
 
     def monotonic(self) -> float:
         """Seconds on the process-wide monotonic clock."""
         # repro-lint: disable=R002 supervision times real worker processes, not simulated events
         return time.monotonic()
 
-    async def sleep(self, seconds: float) -> None:
-        """Suspend the calling coroutine on the running event loop."""
-        await asyncio.sleep(seconds)
-
     def wait(self, event: threading.Event, seconds: float) -> bool:
         """Block the calling thread up to ``seconds`` for ``event``."""
         return event.wait(seconds)
+
+    def wait_readable(
+        self, connections: Sequence[Connection], seconds: float
+    ) -> list[Connection]:
+        """Block the calling thread on the operating system's poll."""
+        ready = wait_for_connections(connections, seconds)
+        return [connection for connection in connections if connection in ready]
 
 
 class FakeClock:
     """A manually advanced clock for supervision unit tests.
 
-    ``sleep``/``wait`` advance the clock themselves, so tests of backoff
-    pacing and heartbeat expiry run in zero real time; :meth:`advance`
-    moves time between probes.
+    ``wait``/``wait_readable`` advance the clock themselves, so tests of
+    backoff pacing and heartbeat expiry run in zero real time;
+    :meth:`advance` moves time between probes.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -83,16 +94,21 @@ class FakeClock:
         """The manually advanced time."""
         return self.now
 
-    async def sleep(self, seconds: float) -> None:
-        """Record the request and advance instantly."""
-        self.sleeps.append(seconds)
-        self.now += seconds
-
     def wait(self, event: threading.Event, seconds: float) -> bool:
         """Advance instantly; report whether ``event`` was already set."""
         self.sleeps.append(seconds)
         self.now += seconds
         return event.is_set()
+
+    def wait_readable(
+        self, connections: Sequence[Connection], seconds: float
+    ) -> list[Connection]:
+        """What is readable right now; otherwise the timeout passes instantly."""
+        ready = wait_for_connections(connections, 0)
+        if not ready:
+            self.sleeps.append(seconds)
+            self.now += seconds
+        return [connection for connection in connections if connection in ready]
 
 
 def supervision_stream(campaign: "CampaignConfig", purpose: str = "retry-jitter") -> RandomStream:
@@ -110,7 +126,7 @@ def supervision_stream(campaign: "CampaignConfig", purpose: str = "retry-jitter"
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with jitter for shard retries and pool restarts.
+    """Exponential backoff with jitter for shard retries.
 
     ``delay(attempt, rng)`` for attempts 1, 2, 3, ... grows as
     ``backoff_base_s * 2**(attempt-1)`` capped at ``backoff_cap_s``, then

@@ -1,49 +1,64 @@
-"""The distributed worker process: run assigned shards, stream records back.
+"""The worker process: run leased shards, stream completions back.
 
 A worker is forked from the coordinating process *after* the campaign has
-been published in ``_WORKER_STATE`` (exactly like the process-pool
-backend), so unpicklable study contents — application factories, often
-closures — reach it through copy-on-write process memory; only shard
-bounds and encoded experiment records ever cross the socket.  The worker
-connects back to the coordinator over localhost, says hello, and then
-loops: lease in (``assign``), run each experiment with the engine's
-canonical per-index seed derivation, stream each completed experiment out
-as an :func:`~repro.store.format.encode_record` string (bit-exact round
-trip), acknowledge the lease (``shard-done``), repeat until ``shutdown``.
+been published in ``_WORKER_STATE``, so unpicklable study contents —
+application factories, often closures — reach it through copy-on-write
+process memory.  It inherits one end of a duplex pipe and loops: lease in
+(a :class:`~repro.dist.shards.ShardSpec`), run each experiment through
+the engine's task function (runtime only, or fused runtime + analysis
+with the payload already slimmed), send each result out as it finishes,
+acknowledge the lease, repeat until the coordinator sends ``None``.  Only
+shard bounds and pickled results ever cross the pipe.
 
-Liveness is a daemon thread beating every ``heartbeat_interval_s`` on the
-shared channel; the experiment loop never has to pause for it, so a
-long-running experiment cannot be mistaken for a dead worker while the
-thread keeps beating.  All waiting goes through the injected supervision
-clock (lint rule R006).
+Messages to the coordinator are pickled tuples led by one of the kinds
+below.  Liveness is a daemon thread beating every
+``heartbeat_interval_s`` on the shared pipe (sends are serialized by a
+lock), so a long-running experiment cannot be mistaken for a dead worker.
+All waiting goes through the injected supervision clock (lint rule R006).
 
 :class:`WorkerOptions` carries the per-worker spawn parameters — and the
 chaos seams the fault-injection harness under ``tests/chaos/`` drives:
 ``heartbeat_interval_s=None`` silences the beacon (a dropped-heartbeat
-fault), ``stall_before_work_s`` freezes the worker after hello (a hang),
-and ``duplicate_completions`` sends every record twice (a duplicated-
-delivery fault, resolved idempotently by the coordinator).  Injecting
-faults into the orchestrator itself is how the paper's own methodology
-gets applied to this backend.
+fault), ``stall_before_work_s`` freezes the worker before its first lease
+(a hang), and ``duplicate_completions`` sends every result twice (a
+duplicated-delivery fault, resolved idempotently by the coordinator).
+Injecting faults into the orchestrator itself is how the paper's own
+methodology gets applied to this engine.
 """
 
 from __future__ import annotations
 
-import socket
+import pickle
 import threading
 import traceback
 from dataclasses import dataclass
-from typing import Any
+from multiprocessing.connection import Connection
+from typing import Any, Callable, Sequence
 
-from repro.dist import protocol
+from repro.dist.shards import ShardSpec
 from repro.dist.supervision import SupervisionClock, SystemClock
-from repro.errors import ProtocolError
-from repro.store.format import encode_record
+
+#: ``(HEARTBEAT,)`` — liveness beacon.
+HEARTBEAT = "heartbeat"
+#: ``(COMPLETION, study_index, experiment_index, value)`` — one finished experiment.
+COMPLETION = "completion"
+#: ``(SHARD_DONE, shard_id)`` — every experiment of the lease was sent; the worker is idle.
+SHARD_DONE = "shard-done"
+#: ``(FAILURE, study_index, experiment_index, pickled_exception | None, traceback_text)``
+#: — the experiment raised; the worker exits after reporting it.
+FAILURE = "failure"
+
+#: The engine's task functions: ``(study, index) -> (study, index, value)``.
+Task = Callable[[tuple[int, int]], tuple[int, int, Any]]
+#: Sends one pickled message; safe to call from the heartbeat thread.
+Send = Callable[[bytes], None]
+
+_HEARTBEAT_MESSAGE = pickle.dumps((HEARTBEAT,))
 
 
 @dataclass(frozen=True)
 class WorkerOptions:
-    """Spawn-time parameters of one worker (picklable, crosses the fork).
+    """Spawn-time parameters of one worker.
 
     ``heartbeat_interval_s=None`` disables the heartbeat thread;
     ``stall_before_work_s`` and ``duplicate_completions`` are chaos seams
@@ -51,117 +66,105 @@ class WorkerOptions:
     """
 
     worker_id: int
-    port: int
     heartbeat_interval_s: float | None = 0.5
     stall_before_work_s: float = 0.0
     duplicate_completions: bool = False
 
 
 class _HeartbeatThread(threading.Thread):
-    """Daemon thread beating on the shared channel every interval."""
+    """Daemon thread beating on the shared pipe every interval."""
 
     def __init__(
-        self,
-        channel: protocol.MessageChannel,
-        worker_id: int,
-        interval_s: float,
-        clock: SupervisionClock,
+        self, send: Send, worker_id: int, interval_s: float, clock: SupervisionClock
     ) -> None:
-        super().__init__(name=f"dist-worker-{worker_id}-heartbeat", daemon=True)
-        self._channel = channel
-        self._worker_id = worker_id
+        super().__init__(name=f"worker-{worker_id}-heartbeat", daemon=True)
+        self._send = send
         self._interval_s = interval_s
         self._clock = clock
-        self._stop = threading.Event()
+        self._stopped = threading.Event()  # not ``_stop``: Thread owns that name
 
     def run(self) -> None:
-        while not self._clock.wait(self._stop, self._interval_s):
+        while not self._clock.wait(self._stopped, self._interval_s):
             try:
-                self._channel.send({"type": protocol.HEARTBEAT, "worker": self._worker_id})
+                self._send(_HEARTBEAT_MESSAGE)
             except OSError:
                 return  # coordinator is gone; the main loop notices too
 
     def stop(self) -> None:
-        self._stop.set()
+        self._stopped.set()
 
 
-def _run_shard(
-    channel: protocol.MessageChannel,
-    message: dict[str, Any],
-    options: WorkerOptions,
-) -> None:
-    """Run one assigned shard, streaming a record per experiment."""
-    from repro.core.execution import _WORKER_STATE
+def _pickled_exception(error: Exception) -> bytes | None:
+    """``error`` pickled, or ``None`` when it would not survive the round trip."""
+    try:
+        payload = pickle.dumps(error)
+        pickle.loads(payload)
+    except Exception:  # whatever a user-defined __reduce__ or __init__ raises
+        return None
+    return payload
 
-    campaign = _WORKER_STATE["campaign"]
-    runner = _WORKER_STATE["runner"]
-    shard_id = message["shard"]
-    study = campaign.studies[message["study"]]
-    for index in range(message["start"], message["stop"]):
+
+def _run_shard(send: Send, shard: ShardSpec, task: Task, options: WorkerOptions) -> bool:
+    """Run one leased shard, sending a completion per experiment.
+
+    Returns ``False`` after reporting an experiment that raised (or whose
+    result could not be pickled).
+    """
+    for item in shard.tasks():
         try:
-            result = runner.run_experiment_of(study, index)
-        except Exception:
-            channel.send(
-                {
-                    "type": protocol.ERROR,
-                    "worker": options.worker_id,
-                    "shard": shard_id,
-                    "study": message["study"],
-                    "index": index,
-                    "message": traceback.format_exc(),
-                }
-            )
-            raise
-        completion = {
-            "type": protocol.COMPLETION,
-            "worker": options.worker_id,
-            "shard": shard_id,
-            "study": message["study"],
-            "index": index,
-            "record": encode_record(result),
-        }
-        channel.send(completion)
+            completion = pickle.dumps((COMPLETION, *task(item)))
+        except Exception as error:
+            failure = (FAILURE, *item, _pickled_exception(error), traceback.format_exc())
+            send(pickle.dumps(failure))
+            return False
+        send(completion)
         if options.duplicate_completions:
-            channel.send(completion)
-    channel.send(
-        {"type": protocol.SHARD_DONE, "worker": options.worker_id, "shard": shard_id}
-    )
+            send(completion)
+    send(pickle.dumps((SHARD_DONE, shard.shard_id)))
+    return True
 
 
-def worker_main(options: WorkerOptions, clock: SupervisionClock | None = None) -> None:
+def worker_main(
+    options: WorkerOptions,
+    connection: Connection,
+    task: Task,
+    inherited: Sequence[Connection] = (),
+    clock: SupervisionClock | None = None,
+) -> None:
     """Entry point of a forked worker process.
 
-    Exits quietly when the coordinator closes the connection (clean
-    shutdown, or this worker was declared dead and superseded — its work
-    is being redone elsewhere, so dying silently is the correct move).
+    ``inherited`` are the coordinator's own pipe ends, copied into this
+    process by the fork; closing them here means a dead coordinator reads
+    as EOF on every worker's pipe instead of being kept half-open by its
+    siblings.  The worker exits quietly when its pipe closes (shutdown, or
+    it was declared dead and superseded — its work is being redone
+    elsewhere, so dying silently is the correct move).
     """
+    for other in inherited:
+        other.close()
     clock = clock or SystemClock()
-    try:
-        sock = socket.create_connection(("127.0.0.1", options.port), timeout=30.0)
-    except OSError:
-        return  # coordinator already gone; nothing to do
-    sock.settimeout(None)
-    channel = protocol.MessageChannel(sock)
+    send_lock = threading.Lock()
+
+    def send(message: bytes) -> None:
+        with send_lock:
+            connection.send_bytes(message)
+
     heartbeat: _HeartbeatThread | None = None
     try:
-        channel.send({"type": protocol.HELLO, "worker": options.worker_id})
         if options.heartbeat_interval_s is not None:
             heartbeat = _HeartbeatThread(
-                channel, options.worker_id, options.heartbeat_interval_s, clock
+                send, options.worker_id, options.heartbeat_interval_s, clock
             )
             heartbeat.start()
         if options.stall_before_work_s:
-            stalled = threading.Event()
-            clock.wait(stalled, options.stall_before_work_s)
+            clock.wait(threading.Event(), options.stall_before_work_s)
         while True:
-            message = channel.recv()
-            if message is None or message["type"] == protocol.SHUTDOWN:
+            shard = connection.recv()
+            if shard is None or not _run_shard(send, shard, task, options):
                 return
-            if message["type"] == protocol.ASSIGN:
-                _run_shard(channel, message, options)
-    except (OSError, ProtocolError):
-        return  # connection torn down under us: superseded or shut down
+    except (EOFError, OSError):
+        return  # pipe torn down under us: superseded, shut down, or orphaned
     finally:
         if heartbeat is not None:
             heartbeat.stop()
-        channel.close()
+        connection.close()

@@ -94,24 +94,18 @@ class StoreIntegrityError(StoreError):
 
 
 class ProtocolError(ReproError):
-    """A distributed-execution wire message was malformed or truncated.
-
-    A frame cut off mid-message is the signature a killed worker (or
-    coordinator) leaves on the socket; the peer treats it as a connection
-    loss, not as data.
-    """
+    """A :mod:`repro.dist.protocol` frame was malformed, oversized or truncated."""
 
 
 class ExecutionInterrupted(ReproError):
     """A campaign's execution was abandoned before every experiment ran.
 
-    Raised when worker processes die faster than the configured retry
-    budget can absorb (a crashed pool worker, an exhausted distributed
-    shard lease).  ``pending`` lists the ``(study_name, experiment_index)``
-    pairs that had not completed, so the failure names exactly what was
-    lost; when a campaign store was attached, everything that *did*
-    complete is already on disk and re-running with the same store resumes
-    instead of restarting.
+    Raised by the parallel backend when worker processes die faster than
+    the configured retry budget can absorb.  ``pending`` lists the
+    ``(study_name, experiment_index)`` pairs that had not completed, so the
+    failure names exactly what was lost; when a campaign store was
+    attached, everything that *did* complete is already on disk and
+    re-running with the same store resumes instead of restarting.
     """
 
     def __init__(
@@ -122,11 +116,11 @@ class ExecutionInterrupted(ReproError):
 
 
 class NoWorkersError(ExecutionInterrupted):
-    """No distributed worker ever connected to the coordinator.
+    """Not a single worker process could be started.
 
-    The distributed backend catches this and degrades to a serial
-    in-process run (with a warning) — zero completions have happened when
-    it is raised, so the fallback is safe.
+    The parallel backend catches this and degrades to a serial in-process
+    run (with a warning) — zero completions have happened when it is
+    raised, so the fallback is safe.
     """
 
 

@@ -5,8 +5,11 @@ class Coordinator:
     def __init__(self, clock) -> None:
         self.clock = clock
 
-    async def pace_retry(self, delay: float) -> None:
-        await self.clock.sleep(delay)
+    def pace_retry(self, stop, delay: float) -> None:
+        self.clock.wait(stop, delay)
 
-    async def supervise_tick(self, interval: float) -> None:
-        await self.clock.sleep(interval)
+    def supervise_tick(self, pipes: list, interval: float) -> list:
+        return self.clock.wait_readable(pipes, interval)
+
+    def has_reply(self, pipe) -> bool:
+        return pipe.poll()  # no timeout: looks, never blocks

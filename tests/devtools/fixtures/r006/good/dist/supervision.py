@@ -1,12 +1,12 @@
 """Good: dist/supervision.py is where the real clock may live."""
 
-import asyncio
 import time
+from multiprocessing.connection import wait
 
 
 class SystemClock:
-    async def sleep(self, seconds: float) -> None:
-        await asyncio.sleep(seconds)
-
     def block(self, seconds: float) -> None:
         time.sleep(seconds)
+
+    def wait_readable(self, pipes: list, seconds: float) -> list:
+        return wait(pipes, seconds)

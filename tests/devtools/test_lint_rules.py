@@ -81,6 +81,21 @@ class TestFixtures:
             d.render() for d in diagnostics
         ]
 
+    def test_r006_flags_sleeps_and_timed_pipe_waits_alike(self):
+        # Sleeps, connection.wait under each import spelling, and
+        # poll-with-timeout — while the good tree's bare poll() (see
+        # test_good_fixture_is_clean) stays legal.
+        diagnostics = run_lint([FIXTURES / "r006" / "bad"])
+        flagged = sorted(d.message.split(" in repro.dist")[0] for d in diagnostics)
+        assert flagged == [
+            "bare 'from multiprocessing.connection import wait'",
+            "bare 'from time import sleep'",
+            "bare 'multiprocessing.connection.wait'",  # import multiprocessing.connection
+            "bare 'multiprocessing.connection.wait'",  # from multiprocessing import connection as mpc
+            "bare 'time.sleep'",
+            "timed '.poll(timeout)'",
+        ]
+
     def test_r005_ignores_unpaired_version_constants(self, tmp_path):
         # MANIFEST_FORMAT_VERSION has no readable-set partner on purpose
         # (its reader is single-version); declaring it alone is clean.

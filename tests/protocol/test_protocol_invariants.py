@@ -8,7 +8,7 @@ Three layers:
   (:mod:`invariants`), non-vacuously (the headline protocol-note kind
   must actually appear somewhere in the study).
 * **Differential** — the four base scenarios run under
-  {serial, process-pool, distributed} × {jsonl, columnar} and every
+  {serial, parallel} × {jsonl, columnar} and every
   combination must be bit-identical to the serial/jsonl reference: same
   store fingerprint, same per-experiment payloads, same measure values —
   and the invariants are replayed from the *store-loaded* records, so
@@ -34,7 +34,7 @@ from invariants import (
     violations_for_experiment,
 )
 from repro.core.campaign import CampaignConfig
-from repro.core.execution import DISTRIBUTED, ExecutionConfig, available_backends
+from repro.core.execution import PROCESS_POOL, ExecutionConfig, available_backends
 from repro.pipeline import run_and_analyze
 from repro.scenarios import DEFAULT_REGISTRY
 from repro.store import CampaignStore, result_to_dict
@@ -54,8 +54,8 @@ PROTOCOL_SCENARIOS = tuple(SCENARIO_INVARIANTS)
 BASE_SCENARIOS = ("raft-election", "quorum-register", "swim-detector", "dfs-master")
 
 needs_fork = pytest.mark.skipif(
-    DISTRIBUTED not in available_backends(),
-    reason="process-pool/distributed backends need the fork start method",
+    PROCESS_POOL not in available_backends(),
+    reason="the parallel backend needs the fork start method",
 )
 
 
@@ -237,8 +237,9 @@ def _run_combination(scenario_name, directory, codec, execution):
 def test_backends_and_codecs_are_bit_identical(scenario_name, tmp_path):
     executions = {
         "serial": ExecutionConfig(),
-        "pool": ExecutionConfig.process_pool(workers=2),
-        "distributed": ExecutionConfig.distributed(workers=2, chunk_size=1),
+        # One engine behind both parallel names; one-experiment leases are
+        # the harshest shape (most dispatches, most lease boundaries).
+        "parallel": ExecutionConfig.process_pool(workers=2, chunk_size=1),
     }
     reference = _run_combination(
         scenario_name, tmp_path / "reference", "jsonl", executions["serial"]

@@ -1,24 +1,23 @@
-"""Tests of the fault-tolerant distributed execution backend (repro.dist).
+"""Tests of the fault-tolerant parallel execution backend (repro.dist).
 
 Four layers:
 
-* the wire protocol's framing and its torn-connection semantics;
+* the frame codec kept for the end-to-end benchmark's probes;
 * the shard planner's partition property — every pending experiment in
   exactly one shard — for arbitrary campaign shapes (seeded table always,
   hypothesis when installed);
-* the supervision primitives (retry policy, heartbeat monitor) driven by
-  a ``FakeClock`` in zero real time;
+* the supervision primitives (retry policy, heartbeat monitor) and the
+  coordinator's whole loop, driven by a ``FakeClock`` in zero real time;
 * the backend end to end: bit-identical to serial, streaming into a
-  campaign store, resuming a killed campaign, and degrading gracefully
-  when workers are missing.  (Fault *injection* — SIGKILL, dropped
-  heartbeats, duplicated completions — lives in ``tests/chaos/``.)
+  campaign store, resuming a killed campaign.  (Fault *injection* —
+  SIGKILL, dropped heartbeats, duplicated completions, failing forks —
+  lives in ``tests/chaos/``.)
 """
 
 from __future__ import annotations
 
-import socket
-import threading
-from dataclasses import replace
+import multiprocessing
+import pickle
 
 import pytest
 
@@ -32,10 +31,9 @@ from repro.core.execution import (
 )
 from repro.dist import (
     CampaignCoordinator,
-    DistributedExecutor,
     FakeClock,
     HeartbeatMonitor,
-    MessageChannel,
+    ParallelExecutor,
     RetryPolicy,
     ShardSpec,
     decode_frames,
@@ -43,12 +41,8 @@ from repro.dist import (
     plan_shards,
 )
 from repro.dist.supervision import supervision_stream
-from repro.dist.worker import WorkerOptions
-from repro.errors import (
-    NoWorkersError,
-    ProtocolError,
-    RuntimeConfigurationError,
-)
+from repro.dist.worker import COMPLETION, SHARD_DONE
+from repro.errors import ProtocolError, RuntimeConfigurationError
 from repro.measures import (
     MeasureStep,
     SimpleSamplingMeasure,
@@ -111,7 +105,7 @@ def campaign_measures_of(analysis) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Wire protocol
+# Frame codec
 # ---------------------------------------------------------------------------
 
 
@@ -138,50 +132,6 @@ class TestProtocolFraming:
         data = struct.pack(">I", len(payload)) + payload
         with pytest.raises(ProtocolError, match="typed message"):
             list(decode_frames(data))
-
-    def test_message_channel_roundtrip_and_eof(self):
-        left, right = socket.socketpair()
-        sender, receiver = MessageChannel(left), MessageChannel(right)
-        sender.send({"type": "heartbeat", "worker": 2})
-        sender.send({"type": "shard-done", "worker": 2, "shard": 0})
-        assert receiver.recv() == {"type": "heartbeat", "worker": 2}
-        assert receiver.recv() == {"type": "shard-done", "worker": 2, "shard": 0}
-        sender.close()
-        assert receiver.recv() is None  # clean EOF between frames
-        receiver.close()
-
-    def test_message_channel_torn_frame_raises(self):
-        left, right = socket.socketpair()
-        receiver = MessageChannel(right)
-        frame = encode_frame({"type": "hello", "worker": 0})
-        left.sendall(frame[: len(frame) - 2])  # die mid-frame, like SIGKILL
-        left.close()
-        with pytest.raises(ProtocolError, match="connection lost"):
-            receiver.recv()
-        receiver.close()
-
-    def test_channel_sends_are_thread_safe(self):
-        # The heartbeat thread and the experiment loop share one channel;
-        # interleaved sends must never interleave frames.
-        left, right = socket.socketpair()
-        sender, receiver = MessageChannel(left), MessageChannel(right)
-        per_thread = 50
-
-        def blast(worker_id: int) -> None:
-            for index in range(per_thread):
-                sender.send({"type": "completion", "worker": worker_id,
-                             "study": 0, "index": index, "record": "r" * 512})
-
-        threads = [threading.Thread(target=blast, args=(t,)) for t in range(4)]
-        for thread in threads:
-            thread.start()
-        received = [receiver.recv() for _ in range(4 * per_thread)]
-        for thread in threads:
-            thread.join()
-        assert all(message["type"] == "completion" for message in received)
-        assert len(received) == 4 * per_thread
-        sender.close()
-        receiver.close()
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +313,11 @@ class TestExecutionConfigKnobs:
         config = ExecutionConfig.distributed(workers=4, chunk_size=3)
         assert config.backend == DISTRIBUTED
         assert config.workers == 4
-        assert isinstance(build_executor(config), DistributedExecutor)
+        assert type(build_executor(config)) is ParallelExecutor
+
+    def test_unknown_backend_still_rejected(self):
+        with pytest.raises(RuntimeConfigurationError, match="unknown execution backend"):
+            ExecutionConfig(backend="cluster")
 
     @pytest.mark.parametrize(
         "kwargs,match",
@@ -483,59 +437,83 @@ class TestDistributedEquivalence:
             assert 1 <= done <= total == 3
 
 
-@needs_fork
-class TestGracefulDegradation:
-    def test_zero_workers_falls_back_to_serial(self):
-        # Workers aimed at a dead port never connect; after the connect
-        # window the coordinator gives up and the backend runs in-process.
-        class DeafCoordinator(CampaignCoordinator):
-            def worker_options(self, worker_id: int) -> WorkerOptions:
-                options = super().worker_options(worker_id)
-                return replace(options, port=_unused_port())
+# ---------------------------------------------------------------------------
+# The coordinator's loop on a FakeClock: no process, no real waiting
+# ---------------------------------------------------------------------------
 
-        class FallbackExecutor(DistributedExecutor):
-            coordinator_class = DeafCoordinator
-            connect_timeout_s = 0.5
 
+class StubProcess:
+    """What the coordinator needs of a process, for a worker that is a script."""
+
+    def __init__(self) -> None:
+        self.killed = self.joined = False
+
+    def kill(self) -> None:
+        self.killed = True
+
+    def join(self, timeout: float | None = None) -> None:
+        self.joined = True
+
+    def is_alive(self) -> bool:
+        return False
+
+
+class ScriptedFleet(CampaignCoordinator):
+    """Workers are pipes whose far ends this class plays on the clock's idle hook.
+
+    Worker 0 hangs silently on whatever it is leased; every later worker
+    answers its lease at once.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.far_ends: dict[int, multiprocessing.connection.Connection] = {}
+        self.clock.on_idle = self.play_workers
+
+    def _fork(self, options):
+        ours, self.far_ends[options.worker_id] = multiprocessing.Pipe(duplex=True)
+        return StubProcess(), ours
+
+    def play_workers(self) -> None:
+        for worker_id, far_end in self.far_ends.items():
+            if worker_id > 0 and self.workers[worker_id].alive and far_end.poll():
+                shard = far_end.recv()
+                for study_index, index in shard.tasks():
+                    far_end.send_bytes(
+                        pickle.dumps((COMPLETION, study_index, index, f"result-{index}"))
+                    )
+                far_end.send_bytes(pickle.dumps((SHARD_DONE, shard.shard_id)))
+
+
+class IdleHookClock(FakeClock):
+    on_idle = staticmethod(lambda: None)
+
+    def wait_readable(self, connections, seconds):
+        self.on_idle()
+        return super().wait_readable(connections, seconds)
+
+
+class TestCoordinatorOnFakeClock:
+    def test_silent_worker_expires_backs_off_and_is_replaced(self):
         campaign = build_campaign(experiments=2)
-        serial = campaign_measures_of(run_and_analyze(campaign, ExecutionConfig.serial()))
-        executor = FallbackExecutor(ExecutionConfig.distributed(workers=2))
-        with pytest.warns(UserWarning, match="falling back"):
-            analysis = executor.run_and_analyze(campaign)
-        assert campaign_measures_of(analysis) == serial
-
-    def test_missing_workers_degrade_with_warning(self):
-        # One worker of three aims at a dead port: the campaign completes
-        # on the surviving fleet, warning about the degradation.  The live
-        # workers stall briefly after hello so the census (0.3s) fires
-        # while the campaign is still in flight.
-        class HalfDeafCoordinator(CampaignCoordinator):
-            def worker_options(self, worker_id: int) -> WorkerOptions:
-                options = super().worker_options(worker_id)
-                if worker_id == 0:
-                    return replace(options, port=_unused_port())
-                return replace(options, stall_before_work_s=0.8)
-
-        class DegradedExecutor(DistributedExecutor):
-            coordinator_class = HalfDeafCoordinator
-            connect_timeout_s = 0.3
-
-        campaign = build_campaign(experiments=3)
-        serial = campaign_measures_of(run_and_analyze(campaign, ExecutionConfig.serial()))
-        executor = DegradedExecutor(
-            ExecutionConfig.distributed(workers=3, chunk_size=1)
+        config = ExecutionConfig.process_pool(
+            workers=1, heartbeat_interval_s=0.5, heartbeat_timeout_s=2.0,
+            retry_backoff_base_s=0.05,
         )
-        with pytest.warns(UserWarning, match="proceeding degraded"):
-            analysis = executor.run_and_analyze(campaign)
-        assert campaign_measures_of(analysis) == serial
-
-    def test_unknown_backend_still_rejected(self):
-        with pytest.raises(RuntimeConfigurationError, match="unknown execution backend"):
-            ExecutionConfig(backend="cluster")
-
-
-def _unused_port() -> int:
-    """A port with nothing listening on it (closed immediately)."""
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
+        clock = IdleHookClock()
+        coordinator = ScriptedFleet(
+            campaign, plan_shards([(0, 0), (0, 1)], 2),
+            task=None, workers=1, config=config, clock=clock,
+        )
+        with pytest.warns(UserWarning, match=r"worker 0 died \(no heartbeat for over 2s\)"):
+            delivered = list(coordinator.run())
+        assert delivered == [(0, 0, "result-0"), (0, 1, "result-1")]
+        assert coordinator.stats == {
+            "completions": 2, "duplicates_dropped": 0, "reassignments": 1, "workers_lost": 1,
+        }
+        # Five silent heartbeat ticks cross the 2 s timeout; the next wait is
+        # cut short to the lost shard's jittered backoff, not a whole tick.
+        assert clock.sleeps[:5] == [0.5] * 5
+        assert len(clock.sleeps) == 6 and 0.05 <= clock.sleeps[5] <= 0.075
+        hung, replacement = (coordinator.workers[i].process for i in (0, 1))
+        assert hung.killed and hung.joined and replacement.joined

@@ -11,15 +11,16 @@ from repro.core.campaign import (
 )
 from repro.scenarios import DEFAULT_REGISTRY
 from repro.core.execution import (
+    DISTRIBUTED,
     PROCESS_POOL,
     SERIAL,
     ExecutionConfig,
-    ProcessPoolExecutor,
     SerialExecutor,
     available_backends,
     build_executor,
     run_and_analyze_experiment,
 )
+from repro.dist import ParallelExecutor
 from repro.errors import RuntimeConfigurationError
 from repro.measures import MeasureStep, StateTuple, StudyMeasure, TotalDuration
 from repro.pipeline import run_and_analyze
@@ -103,7 +104,13 @@ class TestExecutionConfig:
         config = ExecutionConfig.process_pool(workers=3, chunk_size=2)
         assert config.backend == PROCESS_POOL
         assert config.resolved_workers() == 3
-        assert isinstance(build_executor(config), ProcessPoolExecutor)
+        assert type(build_executor(config)) is ParallelExecutor
+
+    def test_both_parallel_names_build_the_same_executor_class(self):
+        pool = build_executor(ExecutionConfig.process_pool(workers=2))
+        distributed = build_executor(ExecutionConfig.distributed(workers=2))
+        assert type(pool) is type(distributed) is ParallelExecutor
+        assert (pool.config.backend, distributed.config.backend) == (PROCESS_POOL, DISTRIBUTED)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(RuntimeConfigurationError):
@@ -362,102 +369,53 @@ class TestEventCap:
 
 
 # ---------------------------------------------------------------------------
-# Pool worker crashes: survive, report, resume
+# An experiment that raises (not dies): one contract on every backend
 # ---------------------------------------------------------------------------
 
 
-class SuicidalRunner(CampaignRunner):
-    """SIGKILLs its own worker process at alpha:1 — once, gated by a
-    sentinel file, so the retried attempt succeeds.  Results are otherwise
-    identical to the plain runner (only scheduling is disturbed)."""
-
-    sentinel = ""  # set by each test before running
+class RaisingRunner(CampaignRunner):
+    """Raises at alpha:1 — a bug in the experiment, not a dead worker."""
 
     @classmethod
     def run_experiment_of(cls, study, index):
-        import os as _os
-        import signal as _signal
-        from pathlib import Path as _Path
-
-        if study.name == "alpha" and index == 1 and not _os.path.exists(cls.sentinel):
-            _Path(cls.sentinel).write_text("died once")
-            _os.kill(_os.getpid(), _signal.SIGKILL)
-        return super().run_experiment_of(study, index)
-
-
-class AlwaysCrashingRunner(CampaignRunner):
-    """SIGKILLs its worker at alpha:1 on every attempt (an unretriable
-    fault, e.g. a deterministic OOM kill)."""
-
-    @classmethod
-    def run_experiment_of(cls, study, index):
-        import os as _os
-        import signal as _signal
-
         if study.name == "alpha" and index == 1:
-            _os.kill(_os.getpid(), _signal.SIGKILL)
+            raise ValueError("boom")
         return super().run_experiment_of(study, index)
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        SERIAL,
+        pytest.param(PROCESS_POOL, marks=needs_pool),
+        pytest.param(DISTRIBUTED, marks=needs_pool),
+    ],
+)
+def test_raising_experiment_surfaces_with_its_own_type(backend):
+    config = ExecutionConfig(backend=backend, workers=2, chunk_size=1)
+    with pytest.raises(ValueError, match="boom") as info:
+        build_executor(config).run_and_analyze(build_campaign(), runner_class=RaisingRunner)
+    if backend != SERIAL:
+        # The parallel engine says where it happened; retries are for
+        # dead workers, so the fleet stops instead of re-running the bug.
+        notes = "\n".join(info.value.__notes__)
+        assert "alpha:1" in notes and "on worker" in notes
+        assert "RaisingRunner" in notes or "run_experiment_of" in notes
+
+
+class UnpicklableRunner(CampaignRunner):
+    @classmethod
+    def run_experiment_of(cls, study, index):
+        raise ValueError("boom", lambda: None)  # a lambda cannot cross the pipe
 
 
 @needs_pool
-class TestPoolCrashRecovery:
-    def test_worker_crash_is_retried_and_campaign_completes(self, tmp_path):
-        campaign = build_campaign()
-        serial = run_and_analyze(campaign, ExecutionConfig.serial())
-        SuicidalRunner.sentinel = str(tmp_path / "died")
-        config = ExecutionConfig.process_pool(
-            workers=2, max_retries=2, retry_backoff_base_s=0.01
-        )
-        with pytest.warns(UserWarning, match="rebuilding the pool"):
-            pooled = build_executor(config).run_and_analyze(
-                campaign, runner_class=SuicidalRunner
-            )
-        assert (tmp_path / "died").exists(), "chaos never fired"
-        assert seeds_of(pooled) == seeds_of(serial)
-        assert measure_values_of(pooled) == measure_values_of(serial)
-        assert pooled.acceptance_summary() == serial.acceptance_summary()
+def test_unpicklable_experiment_error_falls_back_to_runtime_phase_error():
+    from repro.errors import RuntimePhaseError
 
-    def test_exhausted_retries_report_the_dead_experiments(self):
-        from repro.errors import ExecutionInterrupted
-
-        campaign = build_campaign()
-        config = ExecutionConfig.process_pool(
-            workers=2, max_retries=0, retry_backoff_base_s=0.01
+    config = ExecutionConfig.process_pool(workers=1)
+    with pytest.raises(RuntimePhaseError, match="alpha:0 on worker 0") as info:
+        build_executor(config).run_and_analyze(
+            build_campaign(experiments=1), runner_class=UnpicklableRunner
         )
-        with pytest.raises(ExecutionInterrupted, match="process-pool worker died") as info:
-            build_executor(config).run_and_analyze(
-                campaign, runner_class=AlwaysCrashingRunner
-            )
-        # The report names what was lost, not just that something was.
-        assert info.value.pending
-        assert ("alpha", 1) in info.value.pending
-        assert "alpha:1" in str(info.value)
-
-    def test_crash_with_store_hints_at_resume_and_heals(self, tmp_path):
-        from repro.errors import ExecutionInterrupted
-        from repro.store import CampaignStore
-
-        campaign = build_campaign()
-        serial = run_and_analyze(
-            campaign, ExecutionConfig.serial(), store=CampaignStore(tmp_path / "s")
-        )
-        SuicidalRunner.sentinel = str(tmp_path / "died-with-store")
-        config = ExecutionConfig.process_pool(
-            workers=2, max_retries=0, retry_backoff_base_s=0.01, chunk_size=1
-        )
-        with pytest.raises(ExecutionInterrupted) as info:
-            build_executor(config).run_and_analyze(
-                campaign, runner_class=SuicidalRunner, store=CampaignStore(tmp_path / "d")
-            )
-        assert any("campaign store" in note for note in info.value.__notes__)
-        # Following the hint heals: the sentinel now exists, so the rerun
-        # (same store) resumes past the persisted records and completes.
-        resumed = build_executor(config).run_and_analyze(
-            campaign, runner_class=SuicidalRunner, store=CampaignStore(tmp_path / "d")
-        )
-        assert seeds_of(resumed) == seeds_of(serial)
-        assert measure_values_of(resumed) == measure_values_of(serial)
-        assert (
-            CampaignStore(tmp_path / "d").content_fingerprint()
-            == CampaignStore(tmp_path / "s").content_fingerprint()
-        )
+    assert "ValueError" in str(info.value)  # the worker's traceback, as text
