@@ -1,8 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark module regenerates one figure or evaluation of the paper
-and prints the series it produces (paper-vs-measured shape comparisons are
-recorded in EXPERIMENTS.md).  The pytest-benchmark fixture times the
+and prints the series it produces.  The pytest-benchmark fixture times the
 representative computation of each artifact.  Nothing here writes a file:
 the repository's perf record is the end-to-end benchmark under
 ``benchmarks/e2e/``.

@@ -187,11 +187,6 @@ class GlobalTimeline:
         return occurrences
 
 
-def project_record_time(local_time: float, bounds: ClockBounds) -> tuple[float, float]:
-    """Project one local-clock time onto reference-clock bounds."""
-    return bounds.project_to_reference(local_time)
-
-
 def build_global_timeline(
     local_timelines: Mapping[str, LocalTimeline] | Iterable[LocalTimeline],
     bounds_by_host: Mapping[str, ClockBounds],

@@ -18,7 +18,7 @@ records for the analysis phase.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.analysis.clock_sync import SyncMessageRecord
 from repro.core.runtime.context import (
@@ -426,11 +426,3 @@ def run_single_study(
 ) -> StudyResult:
     """Convenience wrapper: run one study outside a campaign."""
     return build_executor(execution or study.execution).run_study(study)
-
-
-def merge_study_results(results: Iterable[StudyResult]) -> list[ExperimentResult]:
-    """Flatten several study results into one experiment list."""
-    experiments: list[ExperimentResult] = []
-    for result in results:
-        experiments.extend(result.experiments)
-    return experiments

@@ -138,15 +138,6 @@ class DaemonHello:
 
 
 @dataclass(frozen=True)
-class ConnectionSetup:
-    """Connection-establishment handshake (counted by the entry/exit ablation)."""
-
-    source: str
-    destination: str
-    acknowledgement: bool = False
-
-
-@dataclass(frozen=True)
 class ApplicationMessage:
     """An application-level message between two nodes of the system under study."""
 

@@ -8,8 +8,9 @@ the local timelines onto a single global timeline.
 The on-disk format follows the paper: the header lists the state machines,
 global states, events, and faults together with integer indices, and the
 timeline section uses those indices plus 64-bit timestamps split into two
-32-bit halves.  Two small extensions (documented in DESIGN.md) are needed
-because our substrate supports node restart on a different host:
+32-bit halves.  Two small extensions (recorded under "Deviations from the
+paper" in ``docs/architecture.md``) are needed because our substrate
+supports node restart on a different host:
 
 * ``HOST <name>`` directive lines inside the timeline section record which
   host the following records were produced on, and

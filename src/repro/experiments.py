@@ -3,8 +3,7 @@
 Each function here reproduces one quantitative artifact of the paper on the
 simulated substrate and returns plain data structures; the benchmark suite
 (``benchmarks/``) and the example scripts (``examples/``) are thin wrappers
-that print them.  The per-experiment index in DESIGN.md maps every artifact
-to one of these functions.
+that print them.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ The paper obtains percentiles from the Bowman-Shenton rational-fraction
 approximation for the Pearson system; the 19-point coefficient table is not
 reproduced in the paper, so this implementation substitutes the
 Cornish-Fisher expansion, which consumes exactly the same inputs (the first
-four moments) and serves the same purpose.  The substitution is recorded in
-DESIGN.md and EXPERIMENTS.md.
+four moments) and serves the same purpose.  The substitution is recorded
+under "Deviations from the paper" in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -152,7 +152,12 @@ class MomentSummary:
 
 
 def raw_moments(values: Sequence[float]) -> tuple[float, float, float, float]:
-    """The first four non-central moments of a sample."""
+    """The first four non-central moments of a sample.
+
+    With :func:`central_from_raw`, the paper's statement of the moment
+    algebra — the reference :func:`summarize_sample` is tested against
+    near mean zero, where the two agree.
+    """
     if not values:
         raise StatisticsError("cannot compute moments of an empty sample")
     n = float(len(values))
@@ -170,15 +175,27 @@ def central_from_raw(
 
 
 def summarize_sample(values: Sequence[float]) -> MomentSummary:
-    """Summarize one sample of final observation function values."""
-    m1, m2, m3, m4 = raw_moments(values)
-    mu2, mu3, mu4 = central_from_raw(m1, m2, m3, m4)
+    """Summarize one sample of final observation function values.
+
+    The central moments are taken about the mean directly (two passes,
+    correctly rounded sums) rather than through :func:`central_from_raw`:
+    Eqns. 4.1-4.3 subtract powers of the mean from raw moments of the same
+    size, which cancels catastrophically once ``|mean|`` dwarfs the spread
+    — the normal case for instants and durations (seconds with
+    millisecond spread).  Both routes compute the same quantities.
+    """
+    if not values:
+        raise StatisticsError("cannot compute moments of an empty sample")
+    n = float(len(values))
+    mean = math.fsum(values) / n
+    deviations = [value - mean for value in values]
+    mu2, mu3, mu4 = (math.fsum(d**k for d in deviations) / n for k in (2, 3, 4))
     return MomentSummary(
         count=len(values),
-        mean=m1,
-        central_moment_2=max(mu2, 0.0),
+        mean=mean,
+        central_moment_2=mu2,
         central_moment_3=mu3,
-        central_moment_4=max(mu4, 0.0),
+        central_moment_4=mu4,
     )
 
 

@@ -76,8 +76,8 @@ def figure_4_2_observation_functions():
 #: (Section 4.3.2).  The ``instant`` value for predicate 3 is quoted as
 #: 21.2 ms in the paper, but the example global timeline's second impulse of
 #: (StateMachine5, State5, Event5) is the row at 21.4 ms, so 21.4 is the
-#: value consistent with the published timeline; EXPERIMENTS.md discusses
-#: the discrepancy.
+#: value consistent with the published timeline (recorded under
+#: "Deviations from the paper" in ``docs/architecture.md``).
 FIGURE_4_2_PAPER_VALUES = {
     "count(U, B, 10, 35)": (2.0, 2.0, 5.0),
     "duration(T, 2, 10, 40)": (1.4, 0.0, 7.0),

@@ -100,7 +100,6 @@ class SimKernel:
         self._events_processed = 0
         self._cancelled_in_queue = 0
         self._compactions = 0
-        self._running = False
 
     @property
     def now(self) -> float:
@@ -217,13 +216,12 @@ class SimKernel:
             If given, stop after executing this many callbacks (a guard
             against runaway experiments).
         """
-        # The loop body is :meth:`_peek_time` + :meth:`step` fused inline:
-        # peeking is a plain head access and popping skips a second
-        # cancellation check, which removes two Python-level calls per
-        # event — a measurable share of campaign runtime at hundreds of
-        # thousands of events.  Both lanes are drained in global
-        # ``(time, seq)`` order (see ``_posted_times`` and friends).
-        self._running = True
+        # The loop body is peek + :meth:`step` fused inline: peeking is a
+        # plain head access and popping skips a second cancellation
+        # check, which removes two Python-level calls per event — a
+        # measurable share of campaign runtime at hundreds of thousands
+        # of events.  Both lanes are drained in global ``(time, seq)``
+        # order (see ``_posted_times`` and friends).
         queue = self._queue
         times = self._posted_times
         seqs = self._posted_seqs
@@ -231,87 +229,65 @@ class SimKernel:
         arguments = self._posted_args
         pop = heapq.heappop
         executed = 0
-        try:
-            if until is None and max_events is None:
-                # Unbounded drain (the campaign-end and benchmark case):
-                # no limit checks, and the monotone lane pops without the
-                # peek-then-delete dance the `until` boundary needs.
-                while True:
-                    if queue:
-                        if times and self._posted_first():
-                            self._now = times.popleft()
-                            seqs.popleft()
-                            self._events_processed += 1
-                            callbacks.popleft()(arguments.popleft())
-                            continue
-                        entry = pop(queue)
-                        handle = entry[2]
-                        if handle is not None:
-                            if handle.cancelled:
-                                self._discard(handle)
-                                continue
-                            handle._in_queue = False
-                        self._now = entry[0]
-                        self._events_processed += 1
-                        entry[3](*entry[4])
-                    elif times:
+        if until is None and max_events is None:
+            # Unbounded drain (the campaign-end and benchmark case):
+            # no limit checks, and the monotone lane pops without the
+            # peek-then-delete dance the `until` boundary needs.
+            while True:
+                if queue:
+                    if times and self._posted_first():
                         self._now = times.popleft()
                         seqs.popleft()
                         self._events_processed += 1
                         callbacks.popleft()(arguments.popleft())
-                    else:
-                        return
-            while queue or times:
-                if max_events is not None and executed >= max_events:
-                    return
-                if queue and not (times and self._posted_first()):
-                    entry = queue[0]
-                    handle = entry[2]
-                    if handle is not None and handle.cancelled:
-                        pop(queue)
-                        self._discard(handle)
                         continue
-                    if until is not None and entry[0] > until:
-                        self._now = max(self._now, until)
-                        return
-                    pop(queue)
+                    entry = pop(queue)
+                    handle = entry[2]
                     if handle is not None:
+                        if handle.cancelled:
+                            self._discard(handle)
+                            continue
                         handle._in_queue = False
                     self._now = entry[0]
                     self._events_processed += 1
                     entry[3](*entry[4])
-                else:
-                    if until is not None and times[0] > until:
-                        self._now = max(self._now, until)
-                        return
+                elif times:
                     self._now = times.popleft()
                     seqs.popleft()
                     self._events_processed += 1
                     callbacks.popleft()(arguments.popleft())
-                executed += 1
-            if until is not None:
-                self._now = max(self._now, until)
-        finally:
-            self._running = False
-
-    def _peek_time(self) -> float | None:
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            handle = entry[2]
-            if handle is not None and handle.cancelled:
-                heapq.heappop(queue)
-                self._discard(handle)
-                continue
-            break
-        times = self._posted_times
-        if queue:
-            if times and self._posted_first():
-                return times[0]
-            return queue[0][0]
-        if times:
-            return times[0]
-        return None
+                else:
+                    return
+        while queue or times:
+            if max_events is not None and executed >= max_events:
+                return
+            if queue and not (times and self._posted_first()):
+                entry = queue[0]
+                handle = entry[2]
+                if handle is not None and handle.cancelled:
+                    pop(queue)
+                    self._discard(handle)
+                    continue
+                if until is not None and entry[0] > until:
+                    self._now = max(self._now, until)
+                    return
+                pop(queue)
+                if handle is not None:
+                    handle._in_queue = False
+                self._now = entry[0]
+                self._events_processed += 1
+                entry[3](*entry[4])
+            else:
+                if until is not None and times[0] > until:
+                    self._now = max(self._now, until)
+                    return
+                self._now = times.popleft()
+                seqs.popleft()
+                self._events_processed += 1
+                callbacks.popleft()(arguments.popleft())
+            executed += 1
+        if until is not None:
+            self._now = max(self._now, until)
 
     # -- lazy-deletion bookkeeping ----------------------------------------------------
     #

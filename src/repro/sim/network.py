@@ -27,17 +27,16 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from repro.errors import RuntimeConfigurationError
 from repro.sim.kernel import SimKernel
-from repro.sim.rng import BlockUniformSource, RandomStream, RandomStreams, uniform_source
+from repro.sim.rng import BlockUniformSource, RandomStream, RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (topology imports LinkProfile)
     from repro.sim.topology import LinkState, NetworkFaultSpec, Partition, Topology
 
 
 #: How many uniform variates the delivery engine pre-draws from the
-#: ``"network"`` stream per refill.  ``0`` selects the legacy per-call draw
-#: discipline; any chunking produces the same variates in the same order
-#: (see :mod:`repro.sim.rng`), so this is a pure throughput knob — the
-#: differential suite runs every scenario at both settings to prove it.
+#: ``"network"`` stream per refill.  Any chunking produces the same
+#: variates in the same order (see :mod:`repro.sim.rng`), so the value
+#: affects throughput only.
 DEFAULT_DRAW_CHUNK = 4096
 
 
@@ -194,7 +193,6 @@ class NetworkModel:
         topology: "Topology | None" = None,
         default_profile: LinkProfile = LAN_TCP_PROFILE,
         ipc_profile: LinkProfile = IPC_PROFILE,
-        draw_chunk: int | None = None,
     ) -> None:
         # Function-level import: network.py defines LinkProfile, which
         # topology.py imports at module level, so the reverse import must
@@ -209,23 +207,16 @@ class NetworkModel:
         self._rng = streams.stream("network")
         # The engine owns the "network" stream exclusively, so it may
         # pre-draw uniform variates in chunks without perturbing anyone
-        # else; the source hands them out in exactly per-call order.
-        chunk = DEFAULT_DRAW_CHUNK if draw_chunk is None else draw_chunk
-        source = uniform_source(self._rng, chunk)
+        # else; the source hands them out in exactly ``random()`` order.
+        source = BlockUniformSource(self._rng, DEFAULT_DRAW_CHUNK)
         self._next_u = source.next
         # The jitter draw happens once per delivered message, so it skips
         # even the source's ``next`` frame: ``_draw_u`` is the C-level
-        # ``pop`` of the source's stable buffer (refilled in place on
-        # IndexError via ``_refill_u``) — or ``Random.random`` itself in
-        # per-call mode, where the except branch is unreachable.  Both
-        # bindings consume the same underlying double sequence as
-        # ``_next_u``, in the same order.
-        if isinstance(source, BlockUniformSource):
-            self._draw_u = source.buffer.pop
-            self._refill_u = source.refill
-        else:
-            self._draw_u = self._rng.random
-            self._refill_u = source.next
+        # ``pop`` of the source's stable buffer, refilled in place on
+        # IndexError via ``_refill_u``.  It consumes the same underlying
+        # double sequence as ``_next_u``, in the same order.
+        self._draw_u = source.buffer.pop
+        self._refill_u = source.refill
         self._topology = topology
         # Resolved routes per endpoint pair: host_of is a pure function of
         # the endpoint string and links are stable objects mutated in
@@ -554,12 +545,13 @@ class NetworkModel:
                 self.record_event(blocked, source, destination, detail=link.name)
                 return message
         # Each draw below consumes the "network" stream's next uniform
-        # variate, conditionally and in the exact order of the per-call
-        # implementation (loss, jitter, reorder check, reorder offset,
-        # duplicate check, duplicate jitter) — the delay and offset math
-        # replicates expovariate/uniform operation by operation (see
-        # LinkProfile.delay_from_uniform), so chunked pre-drawing cannot
-        # change a single simulated outcome.
+        # variate, conditionally and in a fixed order (loss, jitter,
+        # reorder check, reorder offset, duplicate check, duplicate
+        # jitter) — the delay and offset math replicates
+        # expovariate/uniform operation by operation (see
+        # LinkProfile.delay_from_uniform), so the outcomes are the ones
+        # ``Random.expovariate``/``uniform`` calls at these points would
+        # give (pinned by ``tests/data/network_batched_golden.json``).
         chosen = profile or link.profile
         next_u = self._next_u
         if chosen.loss_probability > 0 and next_u() < chosen.loss_probability:

@@ -65,42 +65,22 @@ class RandomStreams:
         digest = hashlib.sha256(f"{self._seed}:{name}".encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big")
 
-    #: Backwards-compatible alias; prefer :meth:`derive`.
-    _derive = derive
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RandomStreams(seed={self._seed}, streams={sorted(self._streams)})"
 
 
 # ---------------------------------------------------------------------------
-# Uniform-variate sources: per-call draws and RNG-order-preserving blocks
+# The uniform-variate source: RNG-order-preserving blocks
 # ---------------------------------------------------------------------------
 #
 # Every distribution the substrate samples on its hot paths reduces to a
 # sequence of ``Random.random()`` calls: ``expovariate(lambd)`` is
 # ``-log(1 - random()) / lambd`` and ``uniform(a, b)`` is
-# ``a + (b - a) * random()`` (CPython's own implementations).  A *uniform
-# source* exposes exactly that underlying double sequence, which lets the
-# delivery engine pre-draw it in chunks without changing which variate
-# feeds which decision — the consumption order, and hence every simulated
-# outcome, stays bit-identical to per-call draws.
-
-
-class DirectUniformSource:
-    """Uniform doubles drawn one at a time from the wrapped stream.
-
-    The legacy draw discipline: every :meth:`next` is one
-    ``Random.random()`` call, made at the moment the variate is consumed.
-    """
-
-    __slots__ = ("_random",)
-
-    def __init__(self, rng: random.Random) -> None:
-        self._random = rng.random
-
-    def next(self) -> float:
-        """The next uniform double in [0, 1) from the stream."""
-        return self._random()
+# ``a + (b - a) * random()`` (CPython's own implementations).  The source
+# exposes exactly that underlying double sequence, pre-drawn in chunks
+# without changing which variate feeds which decision — the consumption
+# order, and hence every simulated outcome, is bit-identical to calling
+# ``random()`` at each point of use.
 
 
 class BlockUniformSource:
@@ -112,7 +92,8 @@ class BlockUniformSource:
     the advanced state back — so the block holds exactly the doubles the
     wrapped stream would have produced, and the stream continues past the
     block seamlessly.  Without numpy the refill falls back to ``chunk``
-    plain ``random()`` calls, which is bit-identical by construction.
+    plain ``random()`` calls — the reference the transplant is tested
+    against.
 
     The wrapped stream must not be drawn from by anyone else while a block
     is outstanding: its state is already advanced past the block's end.
@@ -123,9 +104,9 @@ class BlockUniformSource:
 
     __slots__ = ("_rng", "_chunk", "buffer")
 
-    def __init__(self, rng: random.Random, chunk: int = 512) -> None:
+    def __init__(self, rng: random.Random, chunk: int) -> None:
         if chunk < 2:
-            raise ValueError("block sizes below 2 defeat pre-drawing; use DirectUniformSource")
+            raise ValueError("block sizes below 2 defeat pre-drawing")
         self._rng = rng
         self._chunk = chunk
         #: The outstanding block, stored reversed so :meth:`next` is a
@@ -145,7 +126,7 @@ class BlockUniformSource:
 
     def refill(self) -> None:
         """Pre-draw the next chunk into :attr:`buffer` (in place)."""
-        if _np is None:  # pragma: no cover - numpy is a baked-in dependency
+        if _np is None:
             block = [self._rng.random() for _ in range(self._chunk)]
         else:
             version, internal, gauss_next = self._rng.getstate()
@@ -160,20 +141,3 @@ class BlockUniformSource:
             )
         block.reverse()
         self.buffer[:] = block
-
-
-#: What both source flavours satisfy (kept structural so the delivery
-#: engine can bind ``source.next`` without an isinstance dance).
-UniformSource = DirectUniformSource | BlockUniformSource
-
-
-def uniform_source(rng: random.Random, chunk: int = 0) -> UniformSource:
-    """A uniform-variate source over ``rng``: blocked when ``chunk >= 2``.
-
-    ``chunk`` of 0 or 1 selects per-call draws (the legacy discipline);
-    anything larger pre-draws in chunks of that size.  Both flavours
-    produce the identical double sequence.
-    """
-    if chunk >= 2:
-        return BlockUniformSource(rng, chunk)
-    return DirectUniformSource(rng)

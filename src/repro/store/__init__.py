@@ -12,7 +12,7 @@ seeds, and the producing git commit.
 * :mod:`repro.store.format` — bit-exact JSON record encoding with
   per-record checksums (torn writes are detected and treated as absent).
 * :mod:`repro.store.columnar` — the columnar record codec: checksummed
-  structured-array blocks (numpy, optionally Arrow) behind the same record
+  numpy structured-array blocks behind the same record
   interface, read transparently alongside JSONL stores.
 * :mod:`repro.store.manifest` — study configuration fingerprints and the
   campaign manifest with its compatibility checks.
@@ -35,7 +35,6 @@ from repro.store.columnar import (
     COLUMNAR_FORMAT_VERSION,
     READABLE_COLUMNAR_VERSIONS,
     ColumnarScan,
-    available_engines,
     block_roundtrips,
     decode_block,
     encode_block,
@@ -71,7 +70,6 @@ __all__ = [
     "StoreReport",
     "StoredStudyConfig",
     "StudyManifest",
-    "available_engines",
     "block_roundtrips",
     "decode_block",
     "decode_record",

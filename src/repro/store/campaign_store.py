@@ -44,12 +44,12 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Mapping
+from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping
 
 from repro.core.campaign import CampaignConfig, ExperimentResult
 from repro.errors import StoreError, StoreIntegrityError
 from repro.store.columnar import MAGIC_LINE, encode_block, scan_blocks
-from repro.store.format import decode_record, encode_record
+from repro.store.format import decode_record, encode_record, result_to_dict
 from repro.store.manifest import Manifest, expected_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -307,6 +307,36 @@ class CampaignStore:
 
     # -- reading -----------------------------------------------------------------------
 
+    def _scan_study(self, study_name: str) -> Iterator[ExperimentResult | None]:
+        """Every stored entry of one study, oldest writer first.
+
+        The one reader of a study's files: JSONL lines, then columnar
+        blocks, each file in append order — so for any index the last
+        result yielded is the one that counts (both files are append-only,
+        and codec migration is jsonl→columnar one-way, so the columnar
+        file is always the newer writer).  A corrupt line or block — what
+        a killed campaign leaves behind — is yielded as ``None`` rather
+        than raised.
+        """
+        try:
+            lines = self.records_path(study_name).read_text(encoding="utf-8").splitlines()
+        except FileNotFoundError:
+            lines = []
+        for line in lines:
+            if not line.strip():
+                continue
+            try:
+                yield decode_record(line)
+            except StoreIntegrityError:
+                yield None
+        try:
+            data = self.columnar_path(study_name).read_bytes()
+        except FileNotFoundError:
+            return
+        scan = scan_blocks(data)
+        yield from scan.results
+        yield from [None] * scan.corrupt
+
     def load_study_records(
         self,
         study_name: str,
@@ -316,42 +346,19 @@ class CampaignStore:
 
         Reads are codec-transparent: the study's JSONL file and its
         columnar file are both consulted, whatever codec the store writes
-        with.  Later records supersede earlier ones for the same index
-        within each file (both are append-only), and a columnar record
-        supersedes a JSONL record for the same index — codec migration is
-        jsonl→columnar one-way, so the columnar file is always the newer
-        writer.  Corrupt lines/blocks are skipped — they are what a
-        killed campaign leaves behind and are simply re-run on resume.
+        with, and the last record per index wins (see :meth:`_scan_study`).
+        Corrupt lines/blocks are skipped and simply re-run on resume.
         When ``expected`` maps indices to seeds, records whose seed does
         not match are dropped as well: they were produced by a different
         derivation and must not be resumed into this campaign.
         """
         records: dict[int, ExperimentResult] = {}
-
-        def admit(result: ExperimentResult) -> None:
-            if result.study != study_name:
-                return
+        for result in self._scan_study(study_name):
+            if result is None or result.study != study_name:
+                continue
             if expected is not None and expected.get(result.index) != result.seed:
-                return
+                continue
             records[result.index] = result
-
-        path = self.records_path(study_name)
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except FileNotFoundError:
-            lines = []
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                result = decode_record(line)
-            except StoreIntegrityError:
-                continue
-            admit(result)
-        columnar = self.columnar_path(study_name)
-        if columnar.is_file():
-            for result in scan_blocks(columnar.read_bytes()).results:
-                admit(result)
         return records
 
     def content_fingerprint(self) -> str:
@@ -365,19 +372,26 @@ class CampaignStore:
         harness asserts: a campaign that survived worker crashes, shard
         reassignment, and duplicate completions must fingerprint the same
         as one that ran serially.
-        """
-        from repro.store.format import result_to_dict
 
-        manifest = self.read_manifest()
-        content: dict[str, dict[str, object]] = {}
-        for name in sorted(manifest.studies):
+        The canonical text is fed to the hasher piece by piece (keys in
+        ``sort_keys`` order, i.e. indices ordered as strings) and each
+        record is released once hashed, so memory stays at one study's
+        records rather than the whole campaign's JSON.
+        """
+        digest = hashlib.sha256(b"{")
+        for position, name in enumerate(sorted(self.read_manifest().studies)):
+            opening = ("," if position else "") + json.dumps(name) + ":{"
+            digest.update(opening.encode("utf-8"))
             records = self.load_study_records(name)
-            content[name] = {
-                str(index): result_to_dict(records[index])
-                for index in sorted(records)
-            }
-        canonical = json.dumps(content, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            for entry, index in enumerate(sorted(records, key=str)):
+                canonical = json.dumps(
+                    result_to_dict(records.pop(index)), sort_keys=True, separators=(",", ":")
+                )
+                member = ("," if entry else "") + f'"{index}":' + canonical
+                digest.update(member.encode("utf-8"))
+            digest.update(b"}")
+        digest.update(b"}")
+        return digest.hexdigest()
 
     def verify(self) -> dict[str, StoreReport]:
         """Scan every record file and report valid/corrupt/superseded counts.
@@ -385,31 +399,17 @@ class CampaignStore:
         Covers both codecs' files: every JSONL line and every columnar
         block of a study count toward the same report.
         """
-        manifest = self.read_manifest()
         reports: dict[str, StoreReport] = {}
-        for name in manifest.studies:
+        for name in self.read_manifest().studies:
             report = StoreReport(study=name)
-            path = self.records_path(name)
-            seen: dict[int, int] = {}
-            if path.is_file():
-                for line in path.read_text(encoding="utf-8").splitlines():
-                    if not line.strip():
-                        continue
-                    try:
-                        result = decode_record(line)
-                    except StoreIntegrityError:
-                        report.corrupt += 1
-                        continue
+            indices: set[int] = set()
+            for result in self._scan_study(name):
+                if result is None:
+                    report.corrupt += 1
+                else:
                     report.valid += 1
-                    seen[result.index] = seen.get(result.index, 0) + 1
-            columnar = self.columnar_path(name)
-            if columnar.is_file():
-                scan = scan_blocks(columnar.read_bytes())
-                report.valid += scan.valid
-                report.corrupt += scan.corrupt
-                for result in scan.results:
-                    seen[result.index] = seen.get(result.index, 0) + 1
-            report.superseded = sum(count - 1 for count in seen.values())
+                    indices.add(result.index)
+            report.superseded = report.valid - len(indices)
             reports[name] = report
         return reports
 

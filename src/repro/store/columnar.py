@@ -35,11 +35,9 @@ truncating before appending.  Unlike JSONL there is no per-line framing to
 resynchronize on, so a corrupt block in the *middle* of a file ends the
 valid prefix — every block after it is reported corrupt.
 
-The default engine serializes with numpy (a hard dependency of the
-simulator).  The ``arrow`` engine — pyarrow IPC framing of the same
-columns — is available behind a feature probe for interchange with Arrow
-and Parquet tooling; requesting it without pyarrow installed raises a
-:class:`~repro.errors.StoreError` naming the missing dependency.
+Blocks are serialized with numpy (a hard dependency of the simulator).
+Every header carries ``"engine": "numpy"``; a block naming any other
+engine is rejected as corrupt.
 """
 
 from __future__ import annotations
@@ -57,13 +55,6 @@ try:  # numpy is a hard dependency of the simulator, but probe anyway
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is a baked-in dependency
     _np = None  # type: ignore[assignment]
-
-try:  # pyarrow is optional: the arrow engine is a feature, not a requirement
-    import pyarrow as _pa
-    import pyarrow.ipc as _pa_ipc
-except ImportError:
-    _pa = None  # type: ignore[assignment]
-    _pa_ipc = None  # type: ignore[assignment]
 
 #: Version stamp embedded in every block header; bumped on any change that
 #: an old reader could misinterpret.
@@ -96,16 +87,6 @@ SYNC_DTYPE_FIELDS = [
 ]
 
 
-def available_engines() -> tuple[str, ...]:
-    """The columnar serialization engines usable in this environment."""
-    engines = []
-    if _np is not None:
-        engines.append("numpy")
-    if _pa is not None:
-        engines.append("arrow")
-    return tuple(engines)
-
-
 def _require_numpy() -> Any:
     if _np is None:  # pragma: no cover - numpy is a baked-in dependency
         raise StoreError(
@@ -115,219 +96,56 @@ def _require_numpy() -> Any:
     return _np
 
 
-def _require_arrow() -> Any:
-    if _pa is None:
-        raise StoreError(
-            "the 'arrow' columnar engine requires pyarrow, which is not "
-            f"installed (available engines: {', '.join(available_engines()) or 'none'}); "
-            "install pyarrow or use the default 'numpy' engine"
-        )
-    return _pa
-
-
-# ---------------------------------------------------------------------------
-# Column extraction: payload dict -> meta dict + column lists
-# ---------------------------------------------------------------------------
-
-
-class _Pool:
-    """A per-block interning pool for the tables' string columns.
-
-    Index 0 is always ``None`` so absent values need no sentinel encoding;
-    every other entry is a string appended on first use.
-    """
-
-    def __init__(self) -> None:
-        self.values: list[str | None] = [None]
-        self._index: dict[str | None, int] = {None: 0}
-
-    def index(self, value: str | None) -> int:
-        found = self._index.get(value)
-        if found is None:
-            found = len(self.values)
-            self.values.append(value)
-            self._index[value] = found
-        return found
-
-
-def _split_payload(payload: dict[str, Any]) -> tuple[dict[str, Any], dict[str, list], _Pool]:
-    """Split a :func:`result_to_dict` payload into meta + column lists.
-
-    The returned meta dict is the payload with the two bulk tables
-    replaced by row counts; the columns dict holds one flat Python list
-    per table column, record rows concatenated across timelines in
-    *sorted* machine order — the same order the canonical (sort-keys)
-    meta line serializes the timelines in, so :func:`_join_payload` can
-    slice the concatenation back apart without storing offsets.
-    """
-    pool = _Pool()
-    meta = dict(payload)
-    columns: dict[str, list] = {name: [] for name, _ in RECORD_DTYPE_FIELDS}
-    for name, _ in SYNC_DTYPE_FIELDS:
-        columns[f"sync_{name}"] = []
-
-    timelines_meta: dict[str, Any] = {}
-    for machine in sorted(payload["local_timelines"]):
-        timeline = payload["local_timelines"][machine]
-        rows = timeline["records"]
-        slim = {key: value for key, value in timeline.items() if key != "records"}
-        slim["record_count"] = len(rows)
-        timelines_meta[machine] = slim
-        for kind, time, host, event, state, fault in rows:
-            columns["kind"].append(kind)
-            columns["time"].append(time)
-            columns["host"].append(pool.index(host))
-            columns["event"].append(pool.index(event))
-            columns["state"].append(pool.index(state))
-            columns["fault"].append(pool.index(fault))
-    meta["local_timelines"] = timelines_meta
-
-    for sender, receiver, send_time, receive_time in payload["sync_messages"]:
-        columns["sync_sender"].append(pool.index(sender))
-        columns["sync_receiver"].append(pool.index(receiver))
-        columns["sync_send_time"].append(send_time)
-        columns["sync_receive_time"].append(receive_time)
-    meta["sync_messages"] = len(payload["sync_messages"])
-    meta["pool"] = pool.values
-    return meta, columns, pool
-
-
-def _join_payload(meta: dict[str, Any], columns: dict[str, list]) -> dict[str, Any]:
-    """Inverse of :func:`_split_payload`: rebuild the full payload dict."""
-    pool = meta["pool"]
-    payload = {key: value for key, value in meta.items() if key != "pool"}
-    timelines: dict[str, Any] = {}
-    cursor = 0
-    # Sorted explicitly rather than trusting the meta line's key order:
-    # the concatenation order is part of the format, not of the JSON.
-    for machine in sorted(meta["local_timelines"]):
-        slim = meta["local_timelines"][machine]
-        count = slim["record_count"]
-        timeline = {key: value for key, value in slim.items() if key != "record_count"}
-        stop = cursor + count
-        timeline["records"] = [
-            [kind, time, pool[host], pool[event], pool[state], pool[fault]]
-            for kind, time, host, event, state, fault in zip(
-                columns["kind"][cursor:stop],
-                columns["time"][cursor:stop],
-                columns["host"][cursor:stop],
-                columns["event"][cursor:stop],
-                columns["state"][cursor:stop],
-                columns["fault"][cursor:stop],
-            )
-        ]
-        timelines[machine] = timeline
-        cursor = stop
-    payload["local_timelines"] = timelines
-    payload["sync_messages"] = [
-        [pool[sender], pool[receiver], send_time, receive_time]
-        for sender, receiver, send_time, receive_time in zip(
-            columns["sync_sender"],
-            columns["sync_receiver"],
-            columns["sync_send_time"],
-            columns["sync_receive_time"],
-        )
-    ]
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Engines: column lists <-> raw bytes
-# ---------------------------------------------------------------------------
-
-
-def _encode_numpy(meta: dict[str, Any], columns: dict[str, list]) -> bytes:
-    np = _require_numpy()
-    record_count = len(columns["kind"])
-    sync_count = len(columns["sync_sender"])
-    records = np.empty(record_count, dtype=np.dtype(RECORD_DTYPE_FIELDS))
-    for name, _ in RECORD_DTYPE_FIELDS:
-        records[name] = columns[name]
-    sync = np.empty(sync_count, dtype=np.dtype(SYNC_DTYPE_FIELDS))
-    for name, _ in SYNC_DTYPE_FIELDS:
-        sync[name] = columns[f"sync_{name}"]
-    meta_line = json.dumps(meta, sort_keys=True, separators=(",", ":"))
-    return b"\n".join([meta_line.encode("utf-8"), records.tobytes() + sync.tobytes()])
-
-
-def _decode_numpy(payload: bytes) -> tuple[dict[str, Any], dict[str, list]]:
-    np = _require_numpy()
-    meta_line, _, body = payload.partition(b"\n")
-    meta = json.loads(meta_line)
-    record_count = sum(
-        timeline["record_count"] for timeline in meta["local_timelines"].values()
-    )
-    sync_count = meta["sync_messages"]
-    record_dtype = np.dtype(RECORD_DTYPE_FIELDS)
-    sync_dtype = np.dtype(SYNC_DTYPE_FIELDS)
-    split = record_count * record_dtype.itemsize
-    expected = split + sync_count * sync_dtype.itemsize
-    if len(body) != expected:
-        raise StoreIntegrityError(
-            f"columnar block body holds {len(body)} bytes where the meta "
-            f"line promises {expected}"
-        )
-    records = np.frombuffer(body, dtype=record_dtype, count=record_count)
-    sync = np.frombuffer(body[split:], dtype=sync_dtype, count=sync_count)
-    # .tolist() materializes native Python ints/floats in one C pass — the
-    # vectorized half of the decode; the Python half is payload rebuild.
-    columns: dict[str, list] = {
-        name: records[name].tolist() for name, _ in RECORD_DTYPE_FIELDS
-    }
-    for name, _ in SYNC_DTYPE_FIELDS:
-        columns[f"sync_{name}"] = sync[name].tolist()
-    return meta, columns
-
-
-def _encode_arrow(meta: dict[str, Any], columns: dict[str, list]) -> bytes:
-    pa = _require_arrow()
-    arrays = [
-        pa.array(columns[name], type=pa.int64() if name == "kind" else None)
-        for name, _ in RECORD_DTYPE_FIELDS
-    ]
-    arrays += [pa.array(columns[f"sync_{name}"]) for name, _ in SYNC_DTYPE_FIELDS]
-    names = [name for name, _ in RECORD_DTYPE_FIELDS]
-    names += [f"sync_{name}" for name, _ in SYNC_DTYPE_FIELDS]
-    meta_line = json.dumps(meta, sort_keys=True, separators=(",", ":"))
-    batch = pa.record_batch(arrays, names=names)
-    sink = pa.BufferOutputStream()
-    with _pa_ipc.new_stream(sink, batch.schema) as writer:
-        writer.write_batch(batch)
-    return b"\n".join([meta_line.encode("utf-8"), sink.getvalue().to_pybytes()])
-
-
-def _decode_arrow(payload: bytes) -> tuple[dict[str, Any], dict[str, list]]:
-    pa = _require_arrow()
-    meta_line, _, body = payload.partition(b"\n")
-    meta = json.loads(meta_line)
-    with _pa_ipc.open_stream(pa.BufferReader(body)) as reader:
-        table = reader.read_all()
-    columns = {name: table.column(name).to_pylist() for name in table.column_names}
-    return meta, columns
-
-
-_ENGINES = {
-    "numpy": (_encode_numpy, _decode_numpy),
-    "arrow": (_encode_arrow, _decode_arrow),
-}
-
-
 # ---------------------------------------------------------------------------
 # Blocks: one experiment record, framed and checksummed
 # ---------------------------------------------------------------------------
 
 
-def encode_block(result: ExperimentResult, engine: str = "numpy") -> bytes:
-    """Encode one experiment as a framed, self-checksummed columnar block."""
-    if engine not in _ENGINES:
-        raise StoreError(
-            f"unknown columnar engine {engine!r} "
-            f"(supported: {', '.join(sorted(_ENGINES))})"
+def encode_block(result: ExperimentResult) -> bytes:
+    """Encode one experiment as a framed, self-checksummed columnar block.
+
+    The meta line is the :func:`result_to_dict` payload with the two bulk
+    tables replaced by row counts, plus the string pool (index 0 is always
+    ``None``, every other entry is appended on first use).  Record rows
+    are concatenated across timelines in *sorted* machine order — the
+    order the canonical (sort-keys) meta line serializes the timelines
+    in, so :func:`decode_block` can slice the concatenation back apart
+    without storing offsets.
+    """
+    np = _require_numpy()
+    meta = result_to_dict(result)
+    pool: dict[str | None, int] = {None: 0}
+    intern = pool.setdefault
+
+    record_rows: list[tuple] = []
+    for machine in sorted(meta["local_timelines"]):
+        timeline = meta["local_timelines"][machine]
+        rows = timeline.pop("records")
+        timeline["record_count"] = len(rows)
+        record_rows.extend(
+            (
+                kind,
+                time,
+                intern(host, len(pool)),
+                intern(event, len(pool)),
+                intern(state, len(pool)),
+                intern(fault, len(pool)),
+            )
+            for kind, time, host, event, state, fault in rows
         )
-    meta, columns, _ = _split_payload(result_to_dict(result))
-    payload = _ENGINES[engine][0](meta, columns)
+    sync_rows = [
+        (intern(sender, len(pool)), intern(receiver, len(pool)), send_time, receive_time)
+        for sender, receiver, send_time, receive_time in meta["sync_messages"]
+    ]
+    meta["sync_messages"] = len(sync_rows)
+    meta["pool"] = list(pool)
+
+    records = np.array(record_rows, dtype=np.dtype(RECORD_DTYPE_FIELDS))
+    sync = np.array(sync_rows, dtype=np.dtype(SYNC_DTYPE_FIELDS))
+    meta_line = json.dumps(meta, sort_keys=True, separators=(",", ":"))
+    payload = b"\n".join([meta_line.encode("utf-8"), records.tobytes() + sync.tobytes()])
     header = {
-        "engine": engine,
+        "engine": "numpy",
         "format": COLUMNAR_FORMAT_VERSION,
         "length": len(payload),
         "sha256": hashlib.sha256(payload).hexdigest(),
@@ -343,23 +161,63 @@ def decode_block(header: dict[str, Any], payload: bytes) -> ExperimentResult:
             f"unsupported columnar format {header.get('format')!r} "
             f"(this reader understands {sorted(READABLE_COLUMNAR_VERSIONS)})"
         )
-    engine = header.get("engine")
-    if engine not in _ENGINES:
-        raise StoreIntegrityError(f"unknown columnar engine {engine!r} in block header")
+    if header.get("engine") != "numpy":
+        raise StoreIntegrityError(
+            f"unknown columnar engine {header.get('engine')!r} in block header"
+        )
     try:
-        meta, columns = _ENGINES[engine][1](payload)
-        return result_from_dict(_join_payload(meta, columns))
+        np = _require_numpy()
+        meta_line, _, body = payload.partition(b"\n")
+        meta = json.loads(meta_line)
+        pool = meta.pop("pool")
+        record_dtype = np.dtype(RECORD_DTYPE_FIELDS)
+        sync_dtype = np.dtype(SYNC_DTYPE_FIELDS)
+        record_count = sum(
+            timeline["record_count"] for timeline in meta["local_timelines"].values()
+        )
+        sync_count = meta["sync_messages"]
+        split = record_count * record_dtype.itemsize
+        expected = split + sync_count * sync_dtype.itemsize
+        if len(body) != expected:
+            raise StoreIntegrityError(
+                f"columnar block body holds {len(body)} bytes where the meta "
+                f"line promises {expected}"
+            )
+        records = np.frombuffer(body, dtype=record_dtype, count=record_count)
+        sync = np.frombuffer(body[split:], dtype=sync_dtype, count=sync_count)
+        # .tolist() materializes native Python ints/floats in one C pass per
+        # column — the vectorized half of the decode; the Python half is the
+        # row rebuild.
+        rows = [
+            [kind, time, pool[host], pool[event], pool[state], pool[fault]]
+            for kind, time, host, event, state, fault in zip(
+                *(records[name].tolist() for name, _ in RECORD_DTYPE_FIELDS)
+            )
+        ]
+        cursor = 0
+        # Sorted explicitly rather than trusting the meta line's key order:
+        # the concatenation order is part of the format, not of the JSON.
+        for machine in sorted(meta["local_timelines"]):
+            timeline = meta["local_timelines"][machine]
+            stop = cursor + timeline.pop("record_count")
+            timeline["records"] = rows[cursor:stop]
+            cursor = stop
+        meta["sync_messages"] = [
+            [pool[sender], pool[receiver], send_time, receive_time]
+            for sender, receiver, send_time, receive_time in zip(
+                *(sync[name].tolist() for name, _ in SYNC_DTYPE_FIELDS)
+            )
+        ]
+        return result_from_dict(meta)
     except StoreError:
-        raise
-    except StoreIntegrityError:
         raise
     except Exception as error:
         raise StoreIntegrityError(f"malformed columnar block payload: {error}") from None
 
 
-def block_roundtrips(result: ExperimentResult, engine: str = "numpy") -> bool:
+def block_roundtrips(result: ExperimentResult) -> bool:
     """Whether ``result`` survives a columnar round trip bit-exactly."""
-    block = encode_block(result, engine=engine)
+    block = encode_block(result)
     header_line, _, rest = block.partition(b"\n")
     decoded = decode_block(json.loads(header_line), rest[:-1])
     return result_to_dict(decoded) == result_to_dict(result)

@@ -1,10 +1,8 @@
-"""Differential tests: {JSONL, columnar} × {legacy, batched} are one system.
+"""Differential tests: the JSONL and columnar codecs are one system.
 
-Every registry scenario is run through all four combinations of store
-codec (JSONL lines vs columnar blocks) and delivery draw discipline
-(legacy per-call ``random()`` vs batched block pre-draw), and each run
-must be indistinguishable from the reference combination at every
-observable level:
+Every registry scenario is run store-backed under both codecs (JSONL
+lines vs columnar blocks), and the columnar run must be
+indistinguishable from the JSONL one at every observable level:
 
 * **timelines** — every recorded experiment payload, compared through the
   canonical dictionary mapping (bit-exact float equality);
@@ -13,10 +11,12 @@ observable level:
   stored record, proving the *stores* (not just the in-memory analyses)
   hold identical data whatever codec framed it.
 
-The draw discipline is selected by monkeypatching
-``repro.sim.network.DEFAULT_DRAW_CHUNK`` (read at model construction
-time), which only reaches models built in this process — so these tests
-pin the serial backend; cross-backend identity is covered elsewhere.
+That the delivery engine's block pre-draw reproduces per-call
+``random()`` draws is pinned from disk by
+``tests/data/network_batched_golden.json`` (see
+``test_network_equivalence_golden.py``) and at the source by
+``test_sim_clock_rng.py::TestBlockUniformSource``; cross-backend identity
+is covered elsewhere.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 
 import pytest
 
-import repro.sim.network
 from repro.core.campaign import CampaignConfig
 from repro.measures.campaign_measures import (
     SimpleSamplingMeasure,
@@ -35,12 +34,6 @@ from repro.measures.campaign_measures import (
 from repro.pipeline import run_and_analyze
 from repro.scenarios import DEFAULT_REGISTRY
 from repro.store import CampaignStore, result_to_dict
-
-CODECS = ("jsonl", "columnar")
-
-#: Draw disciplines under test: the legacy per-call discipline (chunk 0
-#: selects DirectUniformSource) and the batched default.
-DISCIPLINES = {"legacy": 0, "batched": repro.sim.network.DEFAULT_DRAW_CHUNK}
 
 EXPERIMENTS = 2
 SEED = 17
@@ -91,14 +84,11 @@ def store_fingerprint(store: CampaignStore, campaign: CampaignConfig) -> str:
     return digest.hexdigest()
 
 
-def run_combination(scenario_name, directory, codec, chunk):
+def run_with_codec(scenario_name, directory, codec):
     """One full store-backed run; returns (measures, timelines, fingerprint)."""
     campaign = campaign_for(scenario_name)
-    store = CampaignStore(directory, codec=codec)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(repro.sim.network, "DEFAULT_DRAW_CHUNK", chunk)
-        with store:
-            analysis = run_and_analyze(campaign, store=store)
+    with CampaignStore(directory, codec=codec) as store:
+        analysis = run_and_analyze(campaign, store=store)
     timelines = {
         study.name: {
             index: result_to_dict(record)
@@ -114,42 +104,10 @@ def run_combination(scenario_name, directory, codec, chunk):
 
 
 @pytest.mark.parametrize("scenario_name", DEFAULT_REGISTRY.names())
-def test_codec_and_kernel_combinations_are_bit_identical(scenario_name, tmp_path):
-    reference = run_combination(
-        scenario_name, tmp_path / "reference", "jsonl", DISCIPLINES["legacy"]
-    )
-    for codec in CODECS:
-        for discipline, chunk in DISCIPLINES.items():
-            if codec == "jsonl" and discipline == "legacy":
-                continue  # that is the reference itself
-            candidate = run_combination(
-                scenario_name, tmp_path / f"{codec}-{discipline}", codec, chunk
-            )
-            context = f"{scenario_name}: {codec}×{discipline} vs jsonl×legacy"
-            assert candidate[1] == reference[1], f"timelines diverged ({context})"
-            assert candidate[0] == reference[0], f"measures diverged ({context})"
-            assert candidate[2] == reference[2], f"fingerprints diverged ({context})"
-
-
-def test_disciplines_draw_identical_variate_sequences():
-    """The two disciplines consume the same underlying double sequence.
-
-    This is the micro-level statement of why the differential matrix can
-    hold at all: a blocked source hands out exactly the doubles the
-    per-call source would, in the same order, leaving the shared stream
-    in the same state afterwards.
-    """
-    from repro.sim.rng import RandomStreams, uniform_source
-
-    direct_stream = RandomStreams(5).stream("network")
-    blocked_stream = RandomStreams(5).stream("network")
-    direct = uniform_source(direct_stream, chunk=0)
-    blocked = uniform_source(blocked_stream, chunk=7)  # deliberately misaligned
-    drawn = [(direct.next(), blocked.next()) for _ in range(100)]
-    assert all(a == b for a, b in drawn)
-    # A fresh same-seed stream confirms neither source skipped a draw:
-    # the 101st double is the 101st double of the raw sequence.
-    replay = RandomStreams(5).stream("network")
-    expected = [replay.random() for _ in range(101)]
-    assert [a for a, _ in drawn] == expected[:100]
-    assert direct.next() == blocked.next() == expected[100]
+def test_codecs_are_bit_identical(scenario_name, tmp_path):
+    reference = run_with_codec(scenario_name, tmp_path / "jsonl", "jsonl")
+    candidate = run_with_codec(scenario_name, tmp_path / "columnar", "columnar")
+    context = f"{scenario_name}: columnar vs jsonl"
+    assert candidate[1] == reference[1], f"timelines diverged ({context})"
+    assert candidate[0] == reference[0], f"measures diverged ({context})"
+    assert candidate[2] == reference[2], f"fingerprints diverged ({context})"

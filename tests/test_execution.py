@@ -66,10 +66,6 @@ class TestSeedDerivation:
         derived = tuple(streams.derive(f"experiment:toggle:{i}") for i in range(4))
         assert derived == self.PINNED_SEQUENCE
 
-    def test_private_alias_preserved(self):
-        streams = RandomStreams(123)
-        assert streams._derive("anything") == streams.derive("anything")
-
     def test_runner_uses_public_derivation(self):
         study = build_toggle_study("study", dwell_time=0.02, experiments=1, seed=7)
         seed = CampaignRunner._experiment_seed(study, 0)

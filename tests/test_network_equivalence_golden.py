@@ -16,13 +16,17 @@ the serial-vs-pool smoke tests and the store round trip in
 ``test_network_scenarios_store.py``.
 
 ``tests/data/network_batched_golden.json`` is the same style of pin for
-the *batched* delivery path: it was generated by the legacy per-call draw
-discipline (``DEFAULT_DRAW_CHUNK`` forced to 0) over every registered
-scenario, partition suite included, and the test replays each scenario
-through the batched default.  Where the refactor golden proves the
-topology layer kept the old stream order, this one proves block
-pre-drawing keeps it too — and keeps proving it from disk even if both
-disciplines were someday broken in the same way in memory.
+the delivery engine's block pre-draw: its entries were generated with one
+plain ``random()`` call per variate, over every registered scenario,
+partition suite included, and the test replays each scenario through the
+engine as it runs today (numpy state-transplant refills).  Where the
+refactor golden proves the topology layer kept the old stream order, this
+one proves block pre-drawing keeps it too, from disk.
+
+To pin a *new* scenario, run it with ``repro.sim.rng._np = None`` — the
+refill is then ``chunk`` plain ``random()`` calls, the per-call reference
+— and record seeds, durations, acceptance and measure values (floats as
+``float.hex()``) under the scenario's name.
 """
 
 import json
@@ -99,13 +103,7 @@ def test_golden_file_covers_every_pre_refactor_scenario():
 
 @pytest.mark.parametrize("scenario_name", sorted(BATCHED_GOLDEN))
 def test_batched_delivery_matches_per_call_golden(scenario_name):
-    """The batched default reproduces per-call-generated numbers from disk."""
-    import repro.sim.network
-
-    assert repro.sim.network.DEFAULT_DRAW_CHUNK >= 2, (
-        "this pin must exercise the batched path; the default draw "
-        "discipline is no longer blocked"
-    )
+    """Block pre-drawing reproduces per-call-generated numbers from disk."""
     expected = BATCHED_GOLDEN[scenario_name]
     scenario = DEFAULT_REGISTRY.get(scenario_name)
     study = scenario.build(
@@ -139,10 +137,13 @@ def test_batched_delivery_matches_per_call_golden(scenario_name):
         ]
         assert values == expected["measure_values"], (
             f"{scenario_name}: study-measure values are not bit-identical "
-            "to the per-call draw discipline"
+            "to per-call random() draws"
         )
 
 
 def test_batched_golden_covers_every_scenario():
-    """The batched pin tracks the registry: new scenarios must be added."""
+    """The batched pin tracks the registry: new scenarios must be added.
+
+    See the module docstring for how an entry is generated.
+    """
     assert set(BATCHED_GOLDEN) == set(DEFAULT_REGISTRY.names())

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import RuntimeConfigurationError
 from repro.sim.clock import ClockParameters, HardwareClock
-from repro.sim.rng import RandomStreams
+import repro.sim.rng
+from repro.sim.rng import BlockUniformSource, RandomStreams
 
 
 class TestClockParameters:
@@ -93,3 +94,31 @@ class TestRandomStreams:
 
     def test_seed_property(self):
         assert RandomStreams(123).seed == 123
+
+
+class TestBlockUniformSource:
+    """Pre-drawn blocks are the wrapped stream's own ``random()`` sequence."""
+
+    def test_blocks_hand_out_the_raw_random_sequence(self):
+        # A fresh same-seed stream is the per-call reference.  The chunk
+        # is deliberately misaligned with the number of draws, so refills
+        # land mid-run and a skipped or repeated draw cannot hide.
+        source = BlockUniformSource(RandomStreams(5).stream("network"), 7)
+        replay = RandomStreams(5).stream("network")
+        expected = [replay.random() for _ in range(101)]
+        assert [source.next() for _ in range(100)] == expected[:100]
+        assert source.next() == expected[100]
+
+    def test_numpy_transplant_equals_pure_python_refill(self, monkeypatch):
+        fast = BlockUniformSource(RandomStreams(3).stream("network"), 64)
+        fast.refill()
+        fast_state = fast._rng.getstate()
+        monkeypatch.setattr(repro.sim.rng, "_np", None)
+        plain = BlockUniformSource(RandomStreams(3).stream("network"), 64)
+        plain.refill()
+        assert fast.buffer == plain.buffer
+        assert fast_state == plain._rng.getstate()
+
+    def test_rejects_blocks_too_small_to_pre_draw(self):
+        with pytest.raises(ValueError):
+            BlockUniformSource(RandomStreams(1).stream("network"), 1)

@@ -17,7 +17,16 @@ Checked properties:
 * percentiles are monotone in the probability level (within the
   moderate-skew envelope where the Cornish-Fisher expansion is monotone);
 * the summary and its percentiles are equivariant under the affine map
-  ``x -> a*x + b`` with ``a > 0``.
+  ``x -> a*x + b`` with ``a > 0``;
+* the shape coefficients survive a *large* shift: ``beta2`` and ``gamma1``
+  of ``x + b`` agree with Eqns. 4.1-4.3 applied to ``x`` itself (near mean
+  zero, where the raw-moment route is exact enough to be the reference)
+  for ``|b| / sigma`` up to 1e6 — the regime of instants and durations,
+  seconds with sub-millisecond spread.
+
+``FOUND_SAMPLES`` holds every example hypothesis has falsified a property
+with; the seeded table includes them, so each fix is pinned without
+hypothesis' help (the rule stated in the root ``conftest.py``).
 """
 
 from __future__ import annotations
@@ -25,10 +34,15 @@ from __future__ import annotations
 import math
 import random
 
-from repro.measures.statistics import combine_stratified, summarize_sample
+from repro.measures.statistics import (
+    central_from_raw,
+    combine_stratified,
+    raw_moments,
+    summarize_sample,
+)
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import assume, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -44,10 +58,52 @@ SKEW_ENVELOPE = 0.8
 KURTOSIS_ENVELOPE = 1.0
 
 
+#: Hypothesis finds, copied here before their fix landed.
+FOUND_SAMPLES = [
+    # A two-point sample has beta2 == 1 exactly; central moments derived
+    # from raw ones gave 0.99998885 (mean -2.18, spread 0.005), breaking
+    # Pearson's beta2 >= beta1 + 1.
+    [-2.1796875, -2.1888463489127394],
+]
+
+#: The largest |shift| / sigma the shape coefficients are held to 1e-6 at.
+MAX_SHIFT_RATIO = 1e6
+
+
+def shifted_samples() -> list[tuple[list[float], float]]:
+    """Seeded ``(sample, shift)`` pairs: sigma 1e-4..1, |shift| 1e1..1e6.
+
+    Samples are centred near zero (Gaussian) or near one sigma
+    (exponential, for a non-zero third moment); pairs whose ratio exceeds
+    ``MAX_SHIFT_RATIO`` are left out, because there the shifted doubles
+    themselves no longer resolve the spread.
+    """
+    rng = random.Random(0x5EED)
+    pairs: list[tuple[list[float], float]] = []
+    for sigma_exponent in range(-4, 1):
+        sigma = 10.0**sigma_exponent
+        for shift_exponent in range(1, 7):
+            shift = 10.0**shift_exponent
+            if shift / sigma > MAX_SHIFT_RATIO:
+                continue
+            size = rng.randint(20, 200)
+            if len(pairs) % 2:
+                values = [rng.expovariate(1.0 / sigma) for _ in range(size)]
+            else:
+                values = [rng.gauss(0.0, sigma) for _ in range(size)]
+            pairs.append((values, shift if rng.random() < 0.5 else -shift))
+    return pairs
+
+
 def seeded_samples(count: int = 48, max_size: int = 24) -> list[list[float]]:
-    """A deterministic table of samples of several distribution shapes."""
+    """A deterministic table of samples of several distribution shapes.
+
+    Every hypothesis find and every large-shift sample rides along, so all
+    properties below are held on them too.
+    """
     rng = random.Random(0xC0FFEE)
-    samples: list[list[float]] = []
+    samples = [list(values) for values in FOUND_SAMPLES]
+    samples += [[value + shift for value in values] for values, shift in shifted_samples()]
     for index in range(count):
         size = rng.randint(2, max_size)
         shape = index % 4
@@ -159,6 +215,16 @@ def check_affine_equivariance(values: list[float], scale: float, shift: float) -
             )
 
 
+def check_large_shift_equivariance(values: list[float], shift: float) -> None:
+    """Shape coefficients of ``x + shift`` equal the Eqn. 4.1-4.3 ones of ``x``."""
+    mu2, mu3, mu4 = central_from_raw(*raw_moments(values))
+    shifted = summarize_sample([value + shift for value in values])
+    assert math.isclose(shifted.mean, math.fsum(values) / len(values) + shift, rel_tol=1e-12)
+    assert math.isclose(shifted.variance, mu2, rel_tol=1e-6)
+    assert math.isclose(shifted.kurtosis_coefficient, mu4 / mu2**2, rel_tol=1e-6)
+    assert math.isclose(shifted.skewness, mu3 / mu2**1.5, rel_tol=1e-6, abs_tol=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic seeded-random path (always runs)
 # ---------------------------------------------------------------------------
@@ -185,6 +251,12 @@ class TestSeededProperties:
             scale = rng.uniform(0.1, 4.0)
             shift = rng.uniform(-5.0, 5.0)
             check_affine_equivariance(values, scale, shift)
+
+    def test_large_shift_equivariance(self):
+        pairs = shifted_samples()
+        assert max(abs(shift) for _, shift in pairs) == 1e6
+        for values, shift in pairs:
+            check_large_shift_equivariance(values, shift)
 
     def test_degenerate_sample_percentile_is_mean(self):
         summary = summarize_sample([3.25] * 7)
@@ -229,3 +301,15 @@ if HAVE_HYPOTHESIS:
         @settings(max_examples=60, deadline=None)
         def test_affine_equivariance(self, values, scale, shift):
             check_affine_equivariance(values, scale, shift)
+
+        @given(
+            values=finite_values,
+            ratio=st.floats(min_value=10.0, max_value=MAX_SHIFT_RATIO),
+            sign=st.sampled_from((-1.0, 1.0)),
+        )
+        @settings(max_examples=80, deadline=None)
+        def test_large_shift_equivariance(self, values, ratio, sign):
+            centred = summarize_sample(values)
+            values = [value - centred.mean for value in values]
+            assume(centred.central_moment_2 > 1e-6)
+            check_large_shift_equivariance(values, sign * ratio * centred.standard_deviation)

@@ -11,6 +11,7 @@ hypothesis-generated payloads when hypothesis is installed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -23,7 +24,6 @@ from repro.store import (
     COLUMNAR_FORMAT_VERSION,
     READABLE_COLUMNAR_VERSIONS,
     CampaignStore,
-    available_engines,
     block_roundtrips,
     decode_block,
     encode_block,
@@ -41,6 +41,15 @@ try:
     HAVE_HYPOTHESIS = True
 except ModuleNotFoundError:  # pragma: no cover - exercised on minimal installs
     HAVE_HYPOTHESIS = False
+
+
+#: ``sha256(encode_block(synthetic_result(seed, extra_times=[0.25 * i for i
+#: in range(extra)])))`` keyed by ``(seed, extra)``: 4, 37 and 523 record rows.
+BLOCK_PINS = {
+    (3, 0): "627ba263e8eb26de7d375e71a78d13e7e635cc34516333ea30377d4dde725fba",
+    (7, 16): "4df4696fd7ac5926fa0665717d28adea470830ae68e2ad8bbd54ca7251e7ef3b",
+    (11, 256): "ecb85c698e9761ae2e53242766a7576c11fa67b3e1d2cdea5550ee5671ab3db0",
+}
 
 
 def check_block_roundtrip(result) -> None:
@@ -125,16 +134,41 @@ class TestColumnarBlocks:
             via_columnar = result_to_dict(decode_block(*split_block(encode_block(result))))
             assert via_jsonl == via_columnar
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(StoreError, match="unknown columnar engine"):
-            encode_block(synthetic_result(3), engine="csv")
+    def test_block_bytes_are_pinned(self):
+        # Recorded at the last commit that still had the column-list
+        # interchange and the engine table: the on-disk bytes (header,
+        # meta line, pool order, raw arrays) are a format, and a rewrite
+        # of the encoder must reproduce them exactly.
+        for (seed, extra), pinned in BLOCK_PINS.items():
+            result = synthetic_result(
+                seed, extra_times=[0.25 * step for step in range(extra)]
+            )
+            assert hashlib.sha256(encode_block(result)).hexdigest() == pinned
 
-    def test_arrow_engine_gated_when_pyarrow_missing(self):
-        if "arrow" in available_engines():
-            assert block_roundtrips(synthetic_result(3), engine="arrow")
-        else:
-            with pytest.raises(StoreError, match="pyarrow"):
-                encode_block(synthetic_result(3), engine="arrow")
+    def test_foreign_engine_block_is_corrupt(self, tmp_path):
+        # "numpy" is the only engine this reader has ever been able to
+        # run; a block naming another one is rejected, not guessed at.
+        header, payload = split_block(encode_block(synthetic_result(3)))
+        header["engine"] = "arrow"
+        with pytest.raises(StoreIntegrityError, match="unknown columnar engine"):
+            decode_block(header, payload)
+        header_line = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        foreign = header_line.encode("utf-8") + b"\n" + payload + b"\n"
+        intact = encode_block(synthetic_result(4))
+        # Framing and checksum hold, so the scan skips it and carries on.
+        scan = scan_blocks(file_of(foreign, intact))
+        assert scan.valid == 1 and scan.corrupt == 1
+        assert scan.valid_end == len(file_of(foreign, intact))
+
+        campaign = build_campaign(experiments=2)
+        store = CampaignStore(tmp_path / "c", codec="columnar")
+        with store:
+            run_and_analyze(campaign, store=store)
+        path = store.columnar_path("alpha")
+        path.write_bytes(path.read_bytes() + foreign)
+        report = store.verify()["alpha"]
+        assert (report.valid, report.corrupt, report.superseded) == (2, 1, 0)
+        assert sorted(store.load_study_records("alpha")) == [0, 1]
 
     def test_unknown_format_version_detected(self):
         block = encode_block(synthetic_result(4))
@@ -312,6 +346,48 @@ class TestColumnarStore:
             store.append(rewritten)
         loaded = store.load_study_records("synthetic")
         assert loaded[result.index].duration == rewritten.duration
+
+    def test_streamed_fingerprint_equals_whole_campaign_dump(self, tmp_path):
+        # content_fingerprint() feeds the hasher record by record; the
+        # value is *defined* as the digest of one canonical dump of
+        # {study: {str(index): payload}}.  Twelve indices make "10" and
+        # "11" sort before "2", one index is superseded across codecs and
+        # one within the columnar file.
+        from dataclasses import replace
+
+        campaign = build_campaign()
+        records = {
+            study.name: [
+                replace(synthetic_result(40 * position + index), study=study.name, index=index)
+                for index in range(12)
+            ]
+            for position, study in enumerate(campaign.studies)
+        }
+        jsonl = CampaignStore(tmp_path / "c", codec="jsonl")
+        jsonl.attach(campaign)
+        for record in records["alpha"][:4]:
+            jsonl.append(replace(record, duration=record.duration + 1.0))
+        store = CampaignStore(tmp_path / "c", codec="columnar")
+        with store:
+            store.append(replace(records["beta"][11], duration=-1.0))
+            for study_records in records.values():
+                for record in reversed(study_records):
+                    store.append(record)
+        assert store.verify()["alpha"].superseded == 4
+        assert store.verify()["beta"].superseded == 1
+
+        content = {
+            name: {str(record.index): result_to_dict(record) for record in study_records}
+            for name, study_records in records.items()
+        }
+        whole = json.dumps(content, sort_keys=True, separators=(",", ":"))
+        assert store.content_fingerprint() == hashlib.sha256(whole.encode("utf-8")).hexdigest()
+        # And an empty campaign is the digest of "{}" / of empty studies.
+        empty = CampaignStore(tmp_path / "e")
+        empty.attach(campaign)
+        assert empty.content_fingerprint() == hashlib.sha256(
+            b'{"alpha":{},"beta":{}}'
+        ).hexdigest()
 
     def test_interrupted_columnar_campaign_resumes_bit_identical(
         self, tmp_path, monkeypatch
