@@ -25,7 +25,8 @@ def main() -> None:
     messages = run_sync_phase(environment, "ref", ("ref", "other"), config)
     # Let the "experiment" run for a second, then run the closing mini-phase.
     environment.run(until=environment.kernel.now + 1.0)
-    messages += run_sync_phase(environment, "ref", ("ref", "other"), config)
+    # It appends to the opening one's table, as the campaign runner does.
+    run_sync_phase(environment, "ref", ("ref", "other"), config, messages)
 
     bounds = estimate_clock_bounds(messages, "other", "ref")
     true_alpha, true_beta = environment.host("other").clock.relative_to(

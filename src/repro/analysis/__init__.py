@@ -17,6 +17,7 @@ After the runtime phase, the analysis phase:
 from repro.analysis.clock_sync import (
     ClockBounds,
     SyncMessageRecord,
+    SyncTable,
     estimate_all_bounds,
     estimate_clock_bounds,
     estimate_clock_bounds_lp,
@@ -48,6 +49,7 @@ __all__ = [
     "IntervalSet",
     "StatePeriod",
     "SyncMessageRecord",
+    "SyncTable",
     "build_global_timeline",
     "estimate_all_bounds",
     "estimate_clock_bounds",

@@ -30,12 +30,19 @@ running linear programs.  Every constraint bounds ``alpha`` by a line in
 so the feasible region is exactly ``{(alpha, beta) : L(beta) <= alpha <=
 U(beta), beta >= beta_floor}`` where ``U`` is the *minimum* of the upper
 lines (a concave piecewise-linear envelope) and ``L`` the *maximum* of the
-lower lines (a convex one).  Both envelopes are computed with the classic
-monotone-hull sweep in O(n log n) after sorting by slope; the envelopes'
-breakpoints are the polygon's vertices, the betas where ``L`` and ``U``
-cross delimit ``[beta-, beta+]``, and the alpha extremes are envelope
-values at vertices — everything the four linear programs and the O(n^3)
-pairwise vertex enumeration used to produce, in a single exact pass.
+lower lines (a convex one).  Both envelopes come out of the same classic
+monotone-hull sweep, :func:`_min_envelope` (``L`` as the negated minimum of
+the negated lower lines), in O(n log n) after sorting by slope; the
+envelopes' breakpoints are the polygon's vertices, the betas where ``L``
+and ``U`` cross delimit ``[beta-, beta+]``, and the alpha extremes are
+envelope values at vertices — everything the four linear programs and the
+O(n^3) pairwise vertex enumeration used to produce, in a single exact pass.
+
+The messages themselves live in one columnar :class:`SyncTable` from the
+moment the runtime phase records them until this solver reads them: the
+constraint lines of a machine are boolean-mask selections of the table's
+two time columns, ordered and de-duplicated with ``numpy.lexsort``; no
+per-message object exists on that path.
 
 The historical :mod:`scipy` path is kept as
 :func:`estimate_clock_bounds_lp` purely as a cross-check for the test
@@ -44,10 +51,11 @@ suite; the hot path no longer imports scipy at all.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -75,6 +83,101 @@ class SyncMessageRecord:
     receiver: str
     send_time: float
     receive_time: float
+
+
+@dataclass(eq=False, repr=False, slots=True)
+class SyncTable(Sequence[SyncMessageRecord]):
+    """The synchronization messages of one experiment, column by column.
+
+    The only in-program form of an experiment's messages: the runtime
+    phase appends to it, it crosses the worker pipe as four arrays, the
+    columnar store writes and reads its columns as they are, and
+    :func:`estimate_all_bounds` selects constraint lines from them with
+    boolean masks.  ``sender`` / ``receiver`` hold integer codes into
+    ``hosts`` (which may list names no message uses — a table decoded from
+    a store block keeps the block's whole string pool); ``send_time`` /
+    ``receive_time`` are ``float64``.  Columns grow as :mod:`array` arrays
+    under :meth:`append`; a decoded table's columns are read-only numpy
+    views of the block's bytes.
+
+    To everything else it is a sequence of :class:`SyncMessageRecord`:
+    ``len``, truthiness, iteration and indexing build records on demand,
+    and it compares equal to a list of the same records.
+    """
+
+    hosts: list[str | None] = field(default_factory=list)
+    sender: Any = field(default_factory=lambda: array("i"))
+    receiver: Any = field(default_factory=lambda: array("i"))
+    send_time: Any = field(default_factory=lambda: array("d"))
+    receive_time: Any = field(default_factory=lambda: array("d"))
+
+    @classmethod
+    def of(cls, messages: Iterable[SyncMessageRecord]) -> "SyncTable":
+        """``messages`` itself when it already is a table, else its records' table."""
+        if isinstance(messages, cls):
+            return messages
+        table = cls()
+        for message in messages:
+            table.append(
+                message.sender, message.receiver, message.send_time, message.receive_time
+            )
+        return table
+
+    def append(
+        self, sender: str, receiver: str, send_time: float, receive_time: float
+    ) -> None:
+        """Record one message; hosts get their codes in first-use order."""
+        hosts = self.hosts
+        if sender not in hosts:
+            hosts.append(sender)
+        if receiver not in hosts:
+            hosts.append(receiver)
+        self.sender.append(hosts.index(sender))
+        self.receiver.append(hosts.index(receiver))
+        self.send_time.append(send_time)
+        self.receive_time.append(receive_time)
+
+    def code(self, host: str) -> int:
+        """The column code of ``host``, or -1 (matching no row) when it has none."""
+        try:
+            return self.hosts.index(host)
+        except ValueError:
+            return -1
+
+    def __len__(self) -> int:
+        return len(self.sender)
+
+    def __iter__(self) -> Iterator[SyncMessageRecord]:
+        hosts = self.hosts
+        # .tolist() turns a whole column into native ints/floats in one C pass.
+        for sender, receiver, send_time, receive_time in zip(
+            self.sender.tolist(),
+            self.receiver.tolist(),
+            self.send_time.tolist(),
+            self.receive_time.tolist(),
+        ):
+            yield SyncMessageRecord(hosts[sender], hosts[receiver], send_time, receive_time)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return list(self)[index]
+        hosts = self.hosts
+        return SyncMessageRecord(
+            hosts[self.sender[index]],
+            hosts[self.receiver[index]],
+            float(self.send_time[index]),
+            float(self.receive_time[index]),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (SyncTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"SyncTable({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -182,95 +285,50 @@ def select_reference_host(clock_rates: Mapping[str, float]) -> str:
 #
 # A "line" is an (slope, intercept) pair describing ``alpha = slope * beta
 # + intercept``.  Upper lines bound alpha from above, lower lines from
-# below.
-
-
-def _upper_line(send_time: float, receive_time: float) -> tuple[float, float]:
-    """Constraint line of a reference -> machine message.
-
-    ``alpha + beta * send <= receive``, i.e. ``alpha <= receive - send * beta``.
-    """
-    return (-send_time, receive_time)
-
-
-def _lower_line(send_time: float, receive_time: float) -> tuple[float, float]:
-    """Constraint line of a machine -> reference message.
-
-    ``alpha + beta * receive >= send``, i.e. ``alpha >= send - receive * beta``.
-    """
-    return (-receive_time, send_time)
-
-
-def _lines_for_message(
-    message: SyncMessageRecord, machine: str, reference: str
-) -> tuple[str, tuple[float, float]] | None:
-    """Classify one message into an upper or lower constraint line."""
-    if message.sender == reference and message.receiver == machine:
-        return "upper", _upper_line(message.send_time, message.receive_time)
-    if message.sender == machine and message.receiver == reference:
-        return "lower", _lower_line(message.send_time, message.receive_time)
-    return None
-
-
-def _collect_lines(
-    messages: Sequence[SyncMessageRecord], machine: str, reference: str
-) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
-    uppers: list[tuple[float, float]] = []
-    lowers: list[tuple[float, float]] = []
-    for message in messages:
-        classified = _lines_for_message(message, machine, reference)
-        if classified is None:
-            continue
-        side, line = classified
-        (uppers if side == "upper" else lowers).append(line)
-    if not uppers and not lowers:
-        raise ClockSynchronizationError(
-            f"no synchronization messages between {machine!r} and reference {reference!r}"
-        )
-    return uppers, lowers
+# below:
+#
+#   reference -> machine message:  alpha + beta * send <= receive,
+#                                  i.e. the upper line (-send, receive);
+#   machine -> reference message:  alpha + beta * receive >= send,
+#                                  i.e. the lower line (-receive, send).
 
 
 def _min_envelope(
-    lines: Sequence[tuple[float, float]],
+    slopes: np.ndarray, intercepts: np.ndarray
 ) -> tuple[list[tuple[float, float]], list[float]]:
-    """The lower (minimum) envelope of a family of lines.
+    """The lower (minimum) envelope of a family of lines, given as columns.
 
     Returns the active lines in order of increasing ``beta`` together with
     the breakpoints where activity changes hands.  The minimum of lines is
-    concave, so the active slope strictly decreases along ``beta``; the
-    standard monotone-hull sweep over the slope-sorted lines is O(n log n).
+    concave, so the active slope strictly decreases along ``beta``: the
+    lines are ordered by ``(-slope, intercept)``, only the first (smallest
+    intercept) of each equal-slope run can ever be minimal — which drops
+    duplicated messages too — and the standard monotone-hull sweep runs
+    over what is left, O(n log n) overall.  The maximum envelope of lower
+    lines is this same sweep over the negated lines, negated back.
     """
-    ordered = sorted(set(lines), key=lambda line: (-line[0], line[1]))
-    filtered: list[tuple[float, float]] = []
-    for slope, intercept in ordered:
-        if filtered and filtered[-1][0] == slope:
-            continue  # same slope, larger intercept: never minimal
-        filtered.append((slope, intercept))
+    order = np.lexsort((intercepts, -slopes))
+    slopes, intercepts = slopes[order], intercepts[order]
+    first_of_run = np.ones(len(slopes), dtype=bool)
+    first_of_run[1:] = slopes[1:] != slopes[:-1]
     hull: list[tuple[float, float]] = []
     cuts: list[float] = []
-    for line in filtered:
-        while True:
-            if not hull:
-                hull.append(line)
-                break
-            top = hull[-1]
-            crossing = (line[1] - top[1]) / (top[0] - line[0])
+    for slope, intercept in zip(
+        slopes[first_of_run].tolist(), intercepts[first_of_run].tolist()
+    ):
+        # Pop every line the new one overtakes before its predecessor's
+        # breakpoint; the hull never empties that way (a cut needs two lines).
+        while hull:
+            top_slope, top_intercept = hull[-1]
+            crossing = (intercept - top_intercept) / (top_slope - slope)
             if cuts and crossing <= cuts[-1]:
                 hull.pop()
                 cuts.pop()
                 continue
-            hull.append(line)
             cuts.append(crossing)
             break
+        hull.append((slope, intercept))
     return hull, cuts
-
-
-def _max_envelope(
-    lines: Sequence[tuple[float, float]],
-) -> tuple[list[tuple[float, float]], list[float]]:
-    """The upper (maximum) envelope of a family of lines (via negation)."""
-    hull, cuts = _min_envelope([(-slope, -intercept) for slope, intercept in lines])
-    return [(-slope, -intercept) for slope, intercept in hull], cuts
 
 
 def _envelope_value(
@@ -316,19 +374,26 @@ def _dedupe_vertices(
 
 
 def _solve_lines(
-    uppers: Sequence[tuple[float, float]],
-    lowers: Sequence[tuple[float, float]],
+    upper_send: np.ndarray,
+    upper_receive: np.ndarray,
+    lower_send: np.ndarray,
+    lower_receive: np.ndarray,
     machine: str,
 ) -> ClockBounds:
-    """Exact bounds and polygon vertices from upper/lower constraint lines."""
-    if not uppers or not lowers:
+    """Exact bounds and polygon vertices from one machine's message times.
+
+    ``upper_*`` are the time columns of its reference -> machine messages,
+    ``lower_*`` those of its machine -> reference messages.
+    """
+    if not len(upper_send) or not len(lower_send):
         raise ClockSynchronizationError(
             f"clock bounds for {machine!r} are unbounded; synchronization messages must "
             "flow in both directions before and after the experiment"
         )
 
-    upper_hull, upper_cuts = _min_envelope(uppers)
-    lower_hull, lower_cuts = _max_envelope(lowers)
+    upper_hull, upper_cuts = _min_envelope(-upper_send, upper_receive)
+    negated_hull, lower_cuts = _min_envelope(lower_receive, -lower_send)
+    lower_hull = [(-slope, -intercept) for slope, intercept in negated_hull]
 
     def upper_at(beta: float) -> float:
         return _envelope_value(upper_hull, upper_cuts, beta)
@@ -423,10 +488,7 @@ def estimate_clock_bounds(
     messages: Iterable[SyncMessageRecord], machine: str, reference: str
 ) -> ClockBounds:
     """Estimate offset/drift bounds for ``machine`` relative to ``reference``."""
-    if machine == reference:
-        return ClockBounds.identity()
-    uppers, lowers = _collect_lines(list(messages), machine, reference)
-    return _solve_lines(uppers, lowers, machine)
+    return estimate_all_bounds(messages, (machine,), reference)[machine]
 
 
 def estimate_all_bounds(
@@ -436,34 +498,36 @@ def estimate_all_bounds(
 ) -> dict[str, ClockBounds]:
     """Estimate bounds for every machine in ``machines`` (reference included).
 
-    The message list is bucketed by machine in a single pass, so a campaign
-    experiment with ``m`` machines scans its synchronization messages once
-    instead of ``m`` times.
+    ``messages`` is a :class:`SyncTable` (any other iterable of records is
+    turned into one first).  A machine's constraint lines are the rows whose
+    ``(sender, receiver)`` codes are ``(reference, machine)`` or the reverse,
+    picked out of the time columns by boolean mask; messages between other
+    pairs of hosts, or from the reference to itself, constrain nothing.
     """
-    machine_list = list(machines)
-    buckets: dict[str, tuple[list[tuple[float, float]], list[tuple[float, float]]]] = {
-        machine: ([], []) for machine in machine_list if machine != reference
-    }
-    for message in messages:
-        if message.sender == reference:
-            bucket = buckets.get(message.receiver)
-            if bucket is not None:
-                bucket[0].append(_upper_line(message.send_time, message.receive_time))
-        elif message.receiver == reference:
-            bucket = buckets.get(message.sender)
-            if bucket is not None:
-                bucket[1].append(_lower_line(message.send_time, message.receive_time))
+    table = SyncTable.of(messages)
+    sender = np.asarray(table.sender)
+    receiver = np.asarray(table.receiver)
+    send_time = np.asarray(table.send_time)
+    receive_time = np.asarray(table.receive_time)
+    reference_code = table.code(reference)
+    from_reference = sender == reference_code
+    to_reference = receiver == reference_code
     bounds: dict[str, ClockBounds] = {}
-    for machine in machine_list:
+    for machine in machines:
         if machine == reference:
             bounds[machine] = ClockBounds.identity()
             continue
-        uppers, lowers = buckets[machine]
-        if not uppers and not lowers:
+        code = table.code(machine)
+        upper = from_reference & (receiver == code)
+        lower = to_reference & (sender == code)
+        upper_send, lower_send = send_time[upper], send_time[lower]
+        if not len(upper_send) and not len(lower_send):
             raise ClockSynchronizationError(
                 f"no synchronization messages between {machine!r} and reference {reference!r}"
             )
-        bounds[machine] = _solve_lines(uppers, lowers, machine)
+        bounds[machine] = _solve_lines(
+            upper_send, receive_time[upper], lower_send, receive_time[lower], machine
+        )
     return bounds
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.analysis.clock_sync import SyncMessageRecord
+from repro.analysis.clock_sync import SyncTable
 from repro.core.runtime.context import (
     ExperimentContext,
     NodeDefinition,
@@ -175,7 +175,7 @@ class ExperimentResult:
     index: int
     seed: int
     local_timelines: dict[str, LocalTimeline]
-    sync_messages: list[SyncMessageRecord]
+    sync_messages: SyncTable
     hosts: tuple[str, ...]
     reference_host: str
     host_clock_parameters: dict[str, ClockParameters]
@@ -304,10 +304,7 @@ class CampaignRunner:
             experiment_timeout=study.experiment_timeout,
         )
 
-        sync_messages: list[SyncMessageRecord] = []
-        sync_messages.extend(
-            run_sync_phase(environment, reference, study.host_names, study.sync)
-        )
+        sync_messages = run_sync_phase(environment, reference, study.host_names, study.sync)
 
         start_time = environment.kernel.now
         # Timer-driven network faults fire at fixed offsets from experiment
@@ -323,9 +320,7 @@ class CampaignRunner:
         self._run_until_complete(environment, context, study)
         duration = environment.kernel.now - start_time
 
-        sync_messages.extend(
-            run_sync_phase(environment, reference, study.host_names, study.sync)
-        )
+        run_sync_phase(environment, reference, study.host_names, study.sync, sync_messages)
 
         return ExperimentResult(
             study=study.name,

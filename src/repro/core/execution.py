@@ -60,6 +60,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from repro.analysis.clock_sync import SyncTable
 from repro.errors import ExecutionInterrupted, RuntimeConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -263,7 +264,7 @@ def run_and_analyze_experiment(
     result = runner.run_experiment_of(study, index)
     analyzed = analyze_experiment(result, study.fault_specifications())
     if not keep_raw_results:
-        analyzed.result = replace(result, local_timelines={}, sync_messages=[])
+        analyzed.result = replace(result, local_timelines={}, sync_messages=SyncTable())
     return analyzed
 
 
@@ -377,7 +378,9 @@ class ExperimentExecutor:
 
         def slim(analyzed) -> None:
             if not keep_raw:
-                analyzed.result = replace(analyzed.result, local_timelines={}, sync_messages=[])
+                analyzed.result = replace(
+                    analyzed.result, local_timelines={}, sync_messages=SyncTable()
+                )
 
         def sink(study_index: int, experiment_index: int, analyzed) -> None:
             store.append(analyzed.result)

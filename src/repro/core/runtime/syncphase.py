@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.clock_sync import SyncMessageRecord
+from repro.analysis.clock_sync import SyncTable
 from repro.sim.environment import Environment
 
 
@@ -48,17 +48,21 @@ def run_sync_phase(
     reference: str,
     hosts: tuple[str, ...],
     config: SyncPhaseConfig | None = None,
-) -> list[SyncMessageRecord]:
-    """Exchange synchronization messages and return the timestamp records.
+    table: SyncTable | None = None,
+) -> SyncTable:
+    """Exchange synchronization messages and return the table of timestamps.
 
-    The exchange is simulated directly on the network/host models (no Loki
-    processes are involved): each message records the sender's clock at
-    transmission and the receiver's clock at reception, after the sampled
-    LAN delay plus the receiver's OS scheduling delay — exactly the
-    quantities a real ``getstamps`` run would log.
+    Each reception appends one row to ``table`` (a fresh one by default; the
+    closing mini-phase of an experiment passes the opening one's, so the
+    experiment ends with a single table).  The exchange is simulated
+    directly on the network/host models (no Loki processes are involved):
+    each message records the sender's clock at transmission and the
+    receiver's clock at reception, after the sampled LAN delay plus the
+    receiver's OS scheduling delay — exactly the quantities a real
+    ``getstamps`` run would log.
     """
     config = config or SyncPhaseConfig()
-    records: list[SyncMessageRecord] = []
+    records = SyncTable() if table is None else table
     kernel = environment.kernel
     lan = environment.lan_profile
     rng = environment.streams.stream("sync-phase")
@@ -74,14 +78,7 @@ def run_sync_phase(
         kernel.schedule(delay, record_reception, sender, receiver, send_clock)
 
     def record_reception(sender: str, receiver: str, send_clock: float) -> None:
-        records.append(
-            SyncMessageRecord(
-                sender=sender,
-                receiver=receiver,
-                send_time=send_clock,
-                receive_time=environment.read_clock(receiver),
-            )
-        )
+        records.append(sender, receiver, send_clock, environment.read_clock(receiver))
 
     others = [host for host in hosts if host != reference]
     for round_index in range(config.messages_per_phase):

@@ -5,7 +5,10 @@ A :class:`CampaignStore` owns one campaign directory::
     <path>/
         manifest.json          # campaign name, git SHA, per-study fingerprints
         records/
-            <study-slug>.jsonl # one self-checksummed record per experiment
+            <study-slug>.jsonl     # one self-checksummed line per experiment
+            <study-slug>.columnar  # one self-checksummed block per experiment
+                                   # (codec="columnar"; supersedes the .jsonl
+                                   # record of the same index)
 
 and gives the evaluation pipeline the durability the paper's decoupled
 offline analysis implies: the runtime phase is executed once, every

@@ -18,7 +18,11 @@ per-timeline metadata) travels in a canonical JSON *meta line*, encoded by
 the very same :func:`~repro.store.format.result_to_dict` mapping the JSONL
 codec uses, so the two codecs are bit-exact against each other by
 construction: floats in the tables are raw IEEE-754 doubles, floats in the
-meta line round-trip through ``repr`` exactly as in JSONL.
+meta line round-trip through ``repr`` exactly as in JSONL.  The record
+table is filled from (and read back into) ``result_to_dict``'s rows; the
+sync table is the experiment's :class:`~repro.analysis.clock_sync.SyncTable`
+column for column — written from its arrays, read back as views of the
+block's bytes — and never passes through per-message rows or objects.
 
 On-disk layout of ``records/<slug>.columnar``::
 
@@ -44,9 +48,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
+from repro.analysis.clock_sync import SyncTable
 from repro.core.campaign import ExperimentResult
 from repro.errors import StoreError, StoreIntegrityError
 from repro.store.format import result_from_dict, result_to_dict
@@ -110,10 +115,14 @@ def encode_block(result: ExperimentResult) -> bytes:
     are concatenated across timelines in *sorted* machine order — the
     order the canonical (sort-keys) meta line serializes the timelines
     in, so :func:`decode_block` can slice the concatenation back apart
-    without storing offsets.
+    without storing offsets.  The sync table never becomes rows: its two
+    time columns are written as they are and its host codes are remapped
+    into the block pool, hosts interned in first-use order (sender before
+    receiver, message by message).
     """
     np = _require_numpy()
-    meta = result_to_dict(result)
+    table = SyncTable.of(result.sync_messages)
+    meta = result_to_dict(replace(result, sync_messages=SyncTable()))
     pool: dict[str | None, int] = {None: 0}
     intern = pool.setdefault
 
@@ -133,15 +142,17 @@ def encode_block(result: ExperimentResult) -> bytes:
             )
             for kind, time, host, event, state, fault in rows
         )
-    sync_rows = [
-        (intern(sender, len(pool)), intern(receiver, len(pool)), send_time, receive_time)
-        for sender, receiver, send_time, receive_time in meta["sync_messages"]
-    ]
-    meta["sync_messages"] = len(sync_rows)
+    sender, receiver = np.asarray(table.sender), np.asarray(table.receiver)
+    pool_code = np.zeros(len(table.hosts), dtype="<i4")
+    for code in dict.fromkeys(np.column_stack((sender, receiver)).ravel().tolist()):
+        pool_code[code] = intern(table.hosts[code], len(pool))
+    meta["sync_messages"] = len(table)
     meta["pool"] = list(pool)
 
     records = np.array(record_rows, dtype=np.dtype(RECORD_DTYPE_FIELDS))
-    sync = np.array(sync_rows, dtype=np.dtype(SYNC_DTYPE_FIELDS))
+    sync = np.empty(len(table), dtype=np.dtype(SYNC_DTYPE_FIELDS))
+    sync["sender"], sync["receiver"] = pool_code[sender], pool_code[receiver]
+    sync["send_time"], sync["receive_time"] = table.send_time, table.receive_time
     meta_line = json.dumps(meta, sort_keys=True, separators=(",", ":"))
     payload = b"\n".join([meta_line.encode("utf-8"), records.tobytes() + sync.tobytes()])
     header = {
@@ -152,6 +163,25 @@ def encode_block(result: ExperimentResult) -> bytes:
     }
     header_line = json.dumps(header, sort_keys=True, separators=(",", ":"))
     return header_line.encode("utf-8") + b"\n" + payload + b"\n"
+
+
+def _check_codes(table: Any, first: str, last: str, lowest: int, pool_size: int) -> None:
+    """Reject a table whose string codes fall outside ``[lowest, pool_size)``.
+
+    The code columns ``first`` .. ``last`` are adjacent ``<i4`` fields, so
+    they are one slice of the table seen as rows of 32-bit words and two
+    reductions check them all.
+    """
+    if not len(table):
+        return
+    fields = table.dtype.fields
+    words = table.view("<i4").reshape(len(table), -1)
+    codes = words[:, fields[first][1] // 4 : fields[last][1] // 4 + 1]
+    if not lowest <= codes.min() <= codes.max() < pool_size:
+        raise StoreIntegrityError(
+            f"columnar block {first}..{last} codes leave the string pool "
+            f"(valid: {lowest}..{pool_size - 1})"
+        )
 
 
 def decode_block(header: dict[str, Any], payload: bytes) -> ExperimentResult:
@@ -185,6 +215,10 @@ def decode_block(header: dict[str, Any], payload: bytes) -> ExperimentResult:
             )
         records = np.frombuffer(body, dtype=record_dtype, count=record_count)
         sync = np.frombuffer(body[split:], dtype=sync_dtype, count=sync_count)
+        # A negative code would index the pool from its end and an
+        # oversized one would only fail when somebody reads the row.
+        _check_codes(records, "host", "fault", 0, len(pool))
+        _check_codes(sync, "sender", "receiver", 1, len(pool))
         # .tolist() materializes native Python ints/floats in one C pass per
         # column — the vectorized half of the decode; the Python half is the
         # row rebuild.
@@ -202,13 +236,14 @@ def decode_block(header: dict[str, Any], payload: bytes) -> ExperimentResult:
             stop = cursor + timeline.pop("record_count")
             timeline["records"] = rows[cursor:stop]
             cursor = stop
-        meta["sync_messages"] = [
-            [pool[sender], pool[receiver], send_time, receive_time]
-            for sender, receiver, send_time, receive_time in zip(
-                *(sync[name].tolist() for name, _ in SYNC_DTYPE_FIELDS)
-            )
-        ]
-        return result_from_dict(meta)
+        meta["sync_messages"] = ()
+        result = result_from_dict(meta)
+        # The sync table stays four column views of the block's bytes,
+        # coded against the block pool.
+        result.sync_messages = SyncTable(
+            pool, sync["sender"], sync["receiver"], sync["send_time"], sync["receive_time"]
+        )
+        return result
     except StoreError:
         raise
     except Exception as error:

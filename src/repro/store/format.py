@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 from typing import Any
 
-from repro.analysis.clock_sync import SyncMessageRecord
+from repro.analysis.clock_sync import SyncTable
 from repro.core.campaign import ExperimentResult
 from repro.core.expression import parse_expression
 from repro.core.specs.fault_spec import (
@@ -39,7 +40,7 @@ from repro.core.specs.fault_spec import (
     FaultTrigger,
 )
 from repro.core.timeline import LocalTimeline, RecordKind, TimelineRecord
-from repro.errors import StoreIntegrityError
+from repro.errors import SpecificationError, StoreIntegrityError
 from repro.sim.clock import ClockParameters
 from repro.sim.topology import NetworkFaultSpec
 
@@ -105,9 +106,16 @@ def timeline_to_dict(timeline: LocalTimeline) -> dict[str, Any]:
     }
 
 
-def timeline_from_dict(data: dict[str, Any]) -> LocalTimeline:
-    """Rebuild a :class:`LocalTimeline` from :func:`timeline_to_dict` output."""
-    faults = FaultSpecification.from_definitions(
+@lru_cache(maxsize=256)
+def _fault_specification(entries: tuple[tuple[str, ...], ...]) -> FaultSpecification:
+    """Decode a timeline's fault entries, once per distinct entry tuple.
+
+    Every timeline of every experiment of a study carries the same entries,
+    and parsing their expressions is the expensive part; the specification
+    and everything inside it is frozen, so decoded timelines share one.  An
+    entry that fails to decode raises and is therefore never cached.
+    """
+    return FaultSpecification.from_definitions(
         FaultDefinition(
             name=entry[0],
             expression=parse_expression(entry[1]),
@@ -116,14 +124,18 @@ def timeline_from_dict(data: dict[str, Any]) -> LocalTimeline:
             # network fault token of a topology-mutating fault.
             network=NetworkFaultSpec.from_token(entry[3]) if len(entry) > 3 else None,
         )
-        for entry in data["faults"]
+        for entry in entries
     )
+
+
+def timeline_from_dict(data: dict[str, Any]) -> LocalTimeline:
+    """Rebuild a :class:`LocalTimeline` from :func:`timeline_to_dict` output."""
     timeline = LocalTimeline(
         machine=data["machine"],
         state_machines=tuple(data["state_machines"]),
         global_states=tuple(data["global_states"]),
         events=tuple(data["events"]),
-        faults=faults,
+        faults=_fault_specification(tuple(tuple(entry) for entry in data["faults"])),
         notes=list(data["notes"]),
     )
     # The record table dominates campaign-scale decode time, so this loop
@@ -170,6 +182,9 @@ def result_to_dict(result: ExperimentResult) -> dict[str, Any]:
 
 def result_from_dict(data: dict[str, Any]) -> ExperimentResult:
     """Rebuild an :class:`ExperimentResult` from :func:`result_to_dict` output."""
+    sync_messages = SyncTable()
+    for sender, receiver, send_time, receive_time in data["sync_messages"]:
+        sync_messages.append(sender, receiver, send_time, receive_time)
     return ExperimentResult(
         study=data["study"],
         index=data["index"],
@@ -178,10 +193,7 @@ def result_from_dict(data: dict[str, Any]) -> ExperimentResult:
             machine: timeline_from_dict(timeline)
             for machine, timeline in data["local_timelines"].items()
         },
-        sync_messages=[
-            SyncMessageRecord(sender, receiver, send_time, receive_time)
-            for sender, receiver, send_time, receive_time in data["sync_messages"]
-        ],
+        sync_messages=sync_messages,
         hosts=tuple(data["hosts"]),
         reference_host=data["reference_host"],
         host_clock_parameters={
@@ -238,7 +250,7 @@ def decode_record(line: str) -> ExperimentResult:
         )
     try:
         return result_from_dict(payload)
-    except (KeyError, TypeError, ValueError) as error:
+    except (LookupError, TypeError, ValueError, SpecificationError) as error:
         raise StoreIntegrityError(f"malformed record payload: {error}") from None
 
 

@@ -1,0 +1,64 @@
+"""Bit-for-bit pin of the clock-bound solver on every registry scenario.
+
+``tests/data/clock_bounds_golden.json`` was generated at commit ``53a987e``
+— the last one whose solver read per-message ``SyncMessageRecord`` objects
+into lists of ``(slope, intercept)`` tuples — by building every registered
+scenario with ``experiments=3`` and ``seed = 31 + position in
+registry.names()``, running it serially and recording, for each experiment
+and each host, ``float.hex()`` of ``alpha_lower/upper``, ``beta_lower/upper``
+and of every polygon vertex returned by ``estimate_clock_bounds``.
+
+The LP cross-check of ``test_clock_sync_geometry.py`` only agrees to 1e-9
+and the end-to-end digests cover four scenarios; this file is what says the
+columnar input side (boolean masks, ``numpy.lexsort``, one hull sweep)
+feeds the sweep the very same lines in the very same order.  To pin a new
+scenario, record the same values for it with the solver as it stands.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.clock_sync import ClockBounds, estimate_all_bounds, estimate_clock_bounds
+from repro.core.campaign import run_single_study
+from repro.scenarios import DEFAULT_REGISTRY
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "clock_bounds_golden.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def pin(bounds: ClockBounds) -> dict:
+    return {
+        "alpha_lower": bounds.alpha_lower.hex(),
+        "alpha_upper": bounds.alpha_upper.hex(),
+        "beta_lower": bounds.beta_lower.hex(),
+        "beta_upper": bounds.beta_upper.hex(),
+        "vertices": [[alpha.hex(), beta.hex()] for alpha, beta in bounds.vertices],
+    }
+
+
+def test_golden_covers_every_registered_scenario():
+    assert sorted(GOLDEN) == sorted(DEFAULT_REGISTRY.names())
+
+
+@pytest.mark.parametrize("scenario_name", sorted(GOLDEN))
+def test_clock_bounds_match_golden(scenario_name):
+    expected = GOLDEN[scenario_name]
+    study = DEFAULT_REGISTRY.get(scenario_name).build(
+        experiments=len(expected["experiments"]), seed=expected["seed"]
+    )
+    experiments = run_single_study(study).experiments
+    for result, pinned in zip(experiments, expected["experiments"], strict=True):
+        assert sorted(pinned) == sorted(result.hosts)
+        together = estimate_all_bounds(
+            result.sync_messages, result.hosts, result.reference_host
+        )
+        for host in result.hosts:
+            assert pin(together[host]) == pinned[host], (scenario_name, result.index, host)
+            # The per-machine call and a plain list of records (the
+            # ``SyncTable.of`` boundary) run the same code on the same lines.
+            alone = estimate_clock_bounds(
+                list(result.sync_messages), host, result.reference_host
+            )
+            assert alone == together[host]

@@ -1,11 +1,16 @@
 """Tests for offline clock synchronization (bounds always contain the truth)."""
 
+import pickle
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.clock_sync import (
     ClockBounds,
     SyncMessageRecord,
+    SyncTable,
     estimate_all_bounds,
     estimate_clock_bounds,
     select_reference_host,
@@ -161,6 +166,95 @@ class TestEstimation:
         bounds = estimate_all_bounds(messages, ["ref", "other"], "ref")
         assert bounds["ref"] == ClockBounds.identity()
         assert bounds["other"].alpha_width > 0
+
+
+class TestSyncTable:
+    """The table is a sequence of records to everyone but the solver and the store."""
+
+    RECORDS = [
+        SyncMessageRecord("ref", "other", 0.25, 0.5),
+        SyncMessageRecord("other", "ref", 0.75, -0.0),
+        SyncMessageRecord("third", "other", 2.0**-52, 1e300),
+        SyncMessageRecord("ref", "ref", 1.0, 1.0),
+    ]
+
+    def test_sequence_protocol(self):
+        table = SyncTable.of(self.RECORDS)
+        assert len(table) == 4 and table
+        assert list(table) == self.RECORDS
+        assert [table[index] for index in range(4)] == self.RECORDS
+        assert table[-1] == self.RECORDS[-1]
+        assert table[1:3] == self.RECORDS[1:3]
+        assert self.RECORDS[2] in table
+        with pytest.raises(IndexError):
+            table[4]
+        # Records are built on demand from native values, not numpy scalars.
+        assert type(table[2].send_time) is float and type(table[2].sender) is str
+
+    def test_empty_table_is_falsy_and_equals_the_empty_list(self):
+        assert not SyncTable() and len(SyncTable()) == 0
+        assert SyncTable() == [] and [] == SyncTable()
+        assert list(SyncTable()) == []
+
+    def test_equality_with_lists_and_tables(self):
+        table = SyncTable.of(self.RECORDS)
+        assert table == self.RECORDS and self.RECORDS == table
+        assert table == SyncTable.of(reversed(list(reversed(self.RECORDS))))
+        assert table != self.RECORDS[:-1]
+        assert table != list(reversed(self.RECORDS))
+        assert table != "not messages"
+        # Host codes are a private matter: same records, different pools.
+        recoded = SyncTable(["x", "third", "other", "ref"])
+        for record in self.RECORDS:
+            recoded.append(record.sender, record.receiver, record.send_time, record.receive_time)
+        assert recoded == table and recoded.hosts != table.hosts
+
+    def test_of_returns_a_table_unchanged(self):
+        table = SyncTable.of(self.RECORDS)
+        assert SyncTable.of(table) is table
+
+    def test_codes_follow_first_use_and_unknown_hosts_match_no_row(self):
+        table = SyncTable.of(self.RECORDS)
+        assert table.hosts == ["ref", "other", "third"]
+        assert [table.code(host) for host in ("ref", "other", "third")] == [0, 1, 2]
+        assert table.code("nobody") == -1
+        assert not (np.asarray(table.sender) == -1).any()
+
+    def test_pickle_round_trip_keeps_columns(self):
+        table = SyncTable.of(self.RECORDS)
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone == table and clone.hosts == table.hosts
+        assert clone.send_time.tobytes() == table.send_time.tobytes()
+        # Column views of a decoded block pickle too (as their own copies).
+        views = SyncTable(
+            list(table.hosts),
+            np.asarray(table.sender),
+            np.asarray(table.receiver),
+            np.asarray(table.send_time),
+            np.asarray(table.receive_time),
+        )
+        assert pickle.loads(pickle.dumps(views)) == self.RECORDS
+
+    def test_a_result_can_be_slimmed_to_a_plain_empty_list(self):
+        from repro.core.campaign import ExperimentResult
+
+        result = ExperimentResult(
+            study="s", index=0, seed=1, local_timelines={},
+            sync_messages=SyncTable.of(self.RECORDS), hosts=("ref", "other"),
+            reference_host="ref", host_clock_parameters={}, completed=True,
+            aborted=False, abort_reason=None, duration=0.0, stats={},
+        )
+        slim = replace(result, sync_messages=[])
+        assert not slim.sync_messages and slim.sync_messages == SyncTable()
+        assert result.sync_messages == self.RECORDS
+
+    def test_solver_takes_tables_and_plain_iterables_alike(self):
+        reference = HardwareClock()
+        other = HardwareClock(ClockParameters(offset=0.001, rate=1.00001))
+        messages = make_sync_messages(reference, other)
+        from_table = estimate_all_bounds(SyncTable.of(messages), ["ref", "other"], "ref")
+        assert from_table == estimate_all_bounds(iter(messages), ("ref", "other"), "ref")
+        assert from_table["other"] == estimate_clock_bounds(messages, "other", "ref")
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,6 +8,12 @@ the polygon vertex sets are identical after near-duplicate dedup, and both
 raise :class:`ClockSynchronizationError` on unbounded or infeasible
 constraint sets.
 
+The solver's input side is columnar (:class:`SyncTable`, boolean masks,
+``numpy.lexsort``); ``TestColumnarInputSide`` holds it to the tuple-based
+ordering it replaced and to one answer whatever the table looks like:
+shuffled, with duplicated messages, equal slopes, traffic between other
+host pairs, reference-to-reference messages.
+
 Following the conventions of ``tests/test_statistics_properties.py``, the
 properties run twice: against a deterministic table of seeded random
 sync-message sets (always), and against hypothesis-generated ones when
@@ -19,12 +25,16 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.clock_sync import (
     SyncMessageRecord,
+    SyncTable,
     _dedupe_vertices,
     _feasible_vertices,
+    _min_envelope,
+    estimate_all_bounds,
     estimate_clock_bounds,
     estimate_clock_bounds_lp,
 )
@@ -113,6 +123,100 @@ def check_bounds_contain_truth(messages: list[SyncMessageRecord], offset, drift_
     assert lower - 1e-9 <= reference.read(0.5) <= upper + 1e-9
 
 
+def reference_min_envelope(lines):
+    """The list-of-tuples sweep the columnar ``_min_envelope`` replaced (the oracle)."""
+    ordered = sorted(set(lines), key=lambda line: (-line[0], line[1]))
+    filtered = []
+    for slope, intercept in ordered:
+        if filtered and filtered[-1][0] == slope:
+            continue  # same slope, larger intercept: never minimal
+        filtered.append((slope, intercept))
+    hull, cuts = [], []
+    for line in filtered:
+        while True:
+            if not hull:
+                hull.append(line)
+                break
+            top = hull[-1]
+            crossing = (line[1] - top[1]) / (top[0] - line[0])
+            if cuts and crossing <= cuts[-1]:
+                hull.pop()
+                cuts.pop()
+                continue
+            hull.append(line)
+            cuts.append(crossing)
+            break
+    return hull, cuts
+
+
+def check_envelope_matches_tuple_sweep(seed: int, count: int) -> None:
+    """Same hull and cuts, bit for bit, on lines rich in ties and repeats."""
+    rng = random.Random(seed)
+    # Few distinct slopes and intercepts: duplicates and equal-slope runs.
+    slopes = [
+        rng.choice((-1.5, -1.0, -0.25, 0.0, 0.5, 2.0, rng.uniform(-2, 2)))
+        for _ in range(count)
+    ]
+    intercepts = [rng.choice((-1.0, 0.0, 0.125, rng.uniform(-1, 1))) for _ in range(count)]
+    hull, cuts = _min_envelope(np.array(slopes), np.array(intercepts))
+    assert (hull, cuts) == reference_min_envelope(list(zip(slopes, intercepts)))
+
+
+def with_other_named(messages: list[SyncMessageRecord], name: str) -> list[SyncMessageRecord]:
+    return [
+        SyncMessageRecord(
+            name if m.sender == "other" else m.sender,
+            name if m.receiver == "other" else m.receiver,
+            m.send_time,
+            m.receive_time,
+        )
+        for m in messages
+    ]
+
+
+def check_all_bounds_ignore_table_shape(
+    offset: float, drift_ppm: float, seed: int, count: int
+) -> None:
+    """``estimate_all_bounds`` on a messy table == per-machine solves of the clean lists."""
+    rng = random.Random(seed)
+    clean = {
+        "m1": with_other_named(make_messages(offset, drift_ppm, seed, count), "m1"),
+        "m2": with_other_named(make_messages(-offset, drift_ppm / 2, seed + 1, count), "m2"),
+    }
+    messy = clean["m1"] + clean["m2"]
+    # Duplicated messages.
+    messy += rng.sample(messy, k=len(messy) // 3)
+    for machine in ("m1", "m2"):
+        for m in rng.sample(clean[machine], k=4):
+            if m.sender == "ref":
+                # Equal send time (equal slope), later reception: dominated.
+                messy.append(
+                    SyncMessageRecord("ref", machine, m.send_time, m.receive_time + 1e-4)
+                )
+            else:
+                # Equal reception time (equal slope), earlier send: dominated.
+                messy.append(
+                    SyncMessageRecord(machine, "ref", m.send_time - 1e-4, m.receive_time)
+                )
+    # Traffic that constrains nothing: between non-reference hosts, reference to itself.
+    messy += [SyncMessageRecord("m1", "m2", rng.random(), rng.random()) for _ in range(5)]
+    messy += [SyncMessageRecord("m2", "m1", rng.random(), rng.random()) for _ in range(5)]
+    messy += [SyncMessageRecord("ref", "ref", rng.random(), rng.random()) for _ in range(3)]
+    rng.shuffle(messy)
+
+    together = estimate_all_bounds(SyncTable.of(messy), ["m2", "ref", "m1"], "ref")
+    assert list(together) == ["m2", "ref", "m1"]
+    assert together["ref"] == estimate_clock_bounds([], "ref", "ref")
+    for machine in ("m1", "m2"):
+        assert together[machine] == estimate_clock_bounds(clean[machine], machine, "ref")
+        assert together[machine] == estimate_clock_bounds(messy, machine, "ref")
+    # A host named only in ``machines`` has no constraints at all.
+    with pytest.raises(
+        ClockSynchronizationError, match="no synchronization messages between 'ghost'"
+    ):
+        estimate_all_bounds(SyncTable.of(messy), ["m1", "ghost"], "ref")
+
+
 def seeded_cases() -> list[tuple[float, float, int, int]]:
     """(offset, drift_ppm, seed, count) table covering the realistic range."""
     rng = random.Random(0x51C0)
@@ -144,6 +248,22 @@ class TestSeededEquivalence:
             check_bounds_contain_truth(
                 make_messages(offset, drift_ppm, seed, count), offset, drift_ppm
             )
+
+
+class TestColumnarInputSide:
+    def test_envelope_matches_the_tuple_sweep(self):
+        for seed in range(40):
+            check_envelope_matches_tuple_sweep(seed, count=1 + seed * 3)
+
+    def test_all_bounds_ignore_table_shape(self):
+        for offset, drift_ppm, seed, count in seeded_cases():
+            check_all_bounds_ignore_table_shape(offset, drift_ppm, seed, max(count, 4))
+
+    def test_signed_zero_slopes_are_one_run(self):
+        # 0.0 and -0.0 are the same slope: one line survives, the lower one.
+        hull, cuts = _min_envelope(np.array([0.0, -0.0, 1.0]), np.array([2.0, 1.0, 0.0]))
+        assert (hull, cuts) == reference_min_envelope([(0.0, 2.0), (-0.0, 1.0), (1.0, 0.0)])
+        assert hull == [(1.0, 0.0), (0.0, 1.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +314,13 @@ class TestRegistryScenarioEquivalence:
 # ---------------------------------------------------------------------------
 
 
+#: The wording callers (and ``AnalysisError`` reports) have always seen.
+UNBOUNDED_WORDING = (
+    "clock bounds for 'other' are unbounded; synchronization messages must "
+    "flow in both directions before and after the experiment"
+)
+
+
 class TestDegenerateEquivalence:
     def test_unbounded_unidirectional_messages(self):
         messages = [
@@ -201,7 +328,7 @@ class TestDegenerateEquivalence:
             for message in make_messages(0.001, 50.0, seed=3)
             if message.sender == "ref"
         ]
-        with pytest.raises(ClockSynchronizationError):
+        with pytest.raises(ClockSynchronizationError, match=UNBOUNDED_WORDING):
             estimate_clock_bounds(messages, "other", "ref")
         with pytest.raises(ClockSynchronizationError):
             estimate_clock_bounds_lp(messages, "other", "ref")
@@ -212,7 +339,7 @@ class TestDegenerateEquivalence:
             for message in make_messages(0.001, 50.0, seed=3)
             if message.sender == "other"
         ]
-        with pytest.raises(ClockSynchronizationError):
+        with pytest.raises(ClockSynchronizationError, match=UNBOUNDED_WORDING):
             estimate_clock_bounds(messages, "other", "ref")
         with pytest.raises(ClockSynchronizationError):
             estimate_clock_bounds_lp(messages, "other", "ref")
@@ -223,13 +350,20 @@ class TestDegenerateEquivalence:
             SyncMessageRecord("ref", "other", send_time=1.0, receive_time=0.0),
             SyncMessageRecord("other", "ref", send_time=1.0, receive_time=1.0),
         ]
-        with pytest.raises(ClockSynchronizationError):
+        with pytest.raises(
+            ClockSynchronizationError,
+            match=r"clock-bound estimation for 'other' failed: the synchronization "
+            r"constraints are mutually inconsistent \(infeasible\)",
+        ):
             estimate_clock_bounds(messages, "other", "ref")
         with pytest.raises(ClockSynchronizationError):
             estimate_clock_bounds_lp(messages, "other", "ref")
 
     def test_no_messages(self):
-        with pytest.raises(ClockSynchronizationError):
+        with pytest.raises(
+            ClockSynchronizationError,
+            match="no synchronization messages between 'other' and reference 'ref'",
+        ):
             estimate_clock_bounds([], "other", "ref")
         with pytest.raises(ClockSynchronizationError):
             estimate_clock_bounds_lp([], "other", "ref")
@@ -313,6 +447,24 @@ if HAVE_HYPOTHESIS:
         @settings(max_examples=40, deadline=None)
         def test_extremes_and_vertices_match_lp(self, offset, drift_ppm, seed, count):
             check_solver_equivalence(make_messages(offset, drift_ppm, seed, count))
+
+        @given(
+            seed=st.integers(min_value=0, max_value=10_000),
+            count=st.integers(min_value=1, max_value=120),
+        )
+        @settings(max_examples=40, deadline=None)
+        def test_envelope_matches_the_tuple_sweep(self, seed, count):
+            check_envelope_matches_tuple_sweep(seed, count)
+
+        @given(
+            offset=st.floats(min_value=-0.01, max_value=0.01),
+            drift_ppm=st.floats(min_value=-200, max_value=200),
+            seed=st.integers(min_value=0, max_value=10_000),
+            count=st.integers(min_value=4, max_value=25),
+        )
+        @settings(max_examples=40, deadline=None)
+        def test_all_bounds_ignore_table_shape(self, offset, drift_ppm, seed, count):
+            check_all_bounds_ignore_table_shape(offset, drift_ppm, seed, count)
 
         @given(
             offset=st.floats(min_value=-0.01, max_value=0.01),

@@ -9,12 +9,17 @@ Three layers, mirroring the README scenario-table check in
   **executed** in a scratch directory and must run clean;
 * the prose is spot-checked for the contracts it promises (the quickstart
   must mention the ``store=`` parameter, the architecture tour must cover
-  every phase module).
+  every phase module);
+* the two cheap ``examples/`` scripts are **run** the way the README says
+  to run them and must exit 0 without touching the working tree.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +51,37 @@ def extract_code_blocks(path: Path, language: str = "python") -> list[tuple[int,
         elif in_block:
             current.append(line)
     return blocks
+
+
+def git_status() -> str | None:
+    """``git status --porcelain`` of the checkout, or ``None`` outside a work tree."""
+    try:
+        status = subprocess.run(
+            ["git", "status", "--porcelain"], cwd=ROOT, capture_output=True, text=True
+        )
+    except OSError:
+        return None
+    return status.stdout if status.returncode == 0 else None
+
+
+class TestExamplesRun:
+    """Nothing else executes ``examples/``; these two are the cheap ones (< 1 s each)."""
+
+    @pytest.mark.parametrize("script", ["clock_sync_demo.py", "quickstart.py"])
+    def test_example_exits_cleanly_and_leaves_the_tree_alone(self, script, tmp_path):
+        before = git_status()
+        environment = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+        completed = subprocess.run(
+            [sys.executable, str(ROOT / "examples" / script)],
+            cwd=tmp_path,
+            env=environment,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip(), f"{script} printed nothing"
+        assert git_status() == before, f"{script} left files behind in the checkout"
 
 
 def documented_files() -> list[Path]:

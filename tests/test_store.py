@@ -196,6 +196,51 @@ class TestRecordFormat:
         with pytest.raises(StoreIntegrityError, match="format"):
             decode_record(json.dumps(envelope))
 
+    def test_decoded_experiments_share_one_fault_specification(self, tmp_path):
+        # Every timeline of every experiment of a study carries the same
+        # fault entries; they are parsed once and the (frozen)
+        # specification is shared by identity, under both codecs.
+        from repro.store.format import _fault_specification
+
+        campaign = build_campaign(experiments=2)
+        for codec in ("jsonl", "columnar"):
+            store = CampaignStore(tmp_path / codec, codec=codec)
+            with store:
+                run_and_analyze(campaign, store=store)
+            _fault_specification.cache_clear()
+            first, second = store.load_results(campaign).study("alpha").experiments
+            faults = first.local_timelines["observer"].faults
+            assert len(faults) > 0
+            assert second.local_timelines["observer"].faults is faults
+            assert faults == campaign.study("alpha").fault_specifications()["observer"]
+            assert _fault_specification.cache_info().hits > 0
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["f", "(a:UP", "once"],  # unparsable expression
+            ["f", "(a:UP)", "sometimes"],  # unknown trigger
+            ["f", "(a:UP)", "once", "network:bogus"],  # unknown network fault
+            ["f"],  # too short
+            ["f", ["(a:UP)"], "once"],  # unhashable element
+        ],
+    )
+    def test_malformed_fault_entry_is_an_integrity_error_and_is_not_cached(self, entry):
+        from repro.store.format import _checksum, _fault_specification
+
+        payload = result_to_dict(synthetic_result(3))
+        machine = sorted(payload["local_timelines"])[0]
+        payload["local_timelines"][machine]["faults"] = [entry]
+        line = json.dumps(
+            {"format": 2, "sha256": _checksum(payload), "payload": payload}
+        )
+        _fault_specification.cache_clear()
+        for _ in range(2):  # the second attempt must fail too: nothing was memoised
+            with pytest.raises(StoreIntegrityError, match="malformed record payload"):
+                decode_record(line)
+        # Only the other timelines' (well-formed, identical) entries got in.
+        assert _fault_specification.cache_info().currsize <= 1
+
     if HAVE_HYPOTHESIS:
 
         @given(

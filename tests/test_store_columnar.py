@@ -11,12 +11,16 @@ hypothesis-generated payloads when hypothesis is installed.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.analysis.clock_sync import SyncMessageRecord, SyncTable
 from repro.core.campaign import CampaignRunner
 from repro.errors import StoreError, StoreIntegrityError
 from repro.pipeline import run_and_analyze
@@ -30,7 +34,7 @@ from repro.store import (
     result_to_dict,
     scan_blocks,
 )
-from repro.store.columnar import MAGIC_LINE
+from repro.store.columnar import MAGIC_LINE, RECORD_DTYPE_FIELDS, SYNC_DTYPE_FIELDS
 
 from test_store import build_campaign, campaign_measures_of, synthetic_result
 
@@ -152,8 +156,7 @@ class TestColumnarBlocks:
         header["engine"] = "arrow"
         with pytest.raises(StoreIntegrityError, match="unknown columnar engine"):
             decode_block(header, payload)
-        header_line = json.dumps(header, sort_keys=True, separators=(",", ":"))
-        foreign = header_line.encode("utf-8") + b"\n" + payload + b"\n"
+        foreign = frame(header, payload)
         intact = encode_block(synthetic_result(4))
         # Framing and checksum hold, so the scan skips it and carries on.
         scan = scan_blocks(file_of(foreign, intact))
@@ -199,6 +202,138 @@ class TestColumnarBlocks:
 def split_block(block: bytes) -> tuple[dict, bytes]:
     header_line, _, rest = block.partition(b"\n")
     return json.loads(header_line), rest[:-1]
+
+
+def frame(header: dict, payload: bytes) -> bytes:
+    """Re-frame ``payload`` as a block whose length and SHA-256 are valid."""
+    header = dict(header, length=len(payload), sha256=hashlib.sha256(payload).hexdigest())
+    header_line = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return header_line.encode("utf-8") + b"\n" + payload + b"\n"
+
+
+def with_code(block: bytes, table: str, column: str, code_of_pool_size) -> bytes:
+    """``block`` with the first ``column`` code of ``table`` replaced, checksum valid."""
+    header, payload = split_block(block)
+    meta_line, _, body = payload.partition(b"\n")
+    meta = json.loads(meta_line)
+    split = sum(
+        timeline["record_count"] for timeline in meta["local_timelines"].values()
+    ) * np.dtype(RECORD_DTYPE_FIELDS).itemsize
+    tables = {
+        "records": np.frombuffer(body[:split], dtype=RECORD_DTYPE_FIELDS).copy(),
+        "sync": np.frombuffer(body[split:], dtype=SYNC_DTYPE_FIELDS).copy(),
+    }
+    tables[table][column][0] = code_of_pool_size(len(meta["pool"]))
+    body = tables["records"].tobytes() + tables["sync"].tobytes()
+    return frame(header, meta_line + b"\n" + body)
+
+
+def sync_heavy_result(messages: int = 200):
+    """A four-record experiment carrying ``messages`` sync messages, C400-style."""
+    hosts = ("h0", "h1", "h2")
+    table = SyncTable()
+    for index in range(messages):
+        other = hosts[1 + index % 2]
+        pair = ("h0", other) if index % 4 < 2 else (other, "h0")
+        table.append(*pair, index * 1e-3, index * 1e-3 + 2e-4)
+    return replace(synthetic_result(3), sync_messages=table, hosts=hosts)
+
+
+class TestPoolCodeRange:
+    """A checksum-valid block whose codes leave the pool is corrupt, not misread."""
+
+    CASES = [
+        (table, column, code)
+        for table, columns, codes in (
+            ("records", ("host", "event", "state", "fault"), (-1, None)),
+            ("sync", ("sender", "receiver"), (-1, 0, None)),
+        )
+        for column in columns
+        for code in codes
+    ]
+
+    @pytest.mark.parametrize("table, column, code", CASES)
+    def test_out_of_range_code_is_rejected(self, table, column, code):
+        block = encode_block(sync_heavy_result(6))
+        decode_block(*split_block(block))  # the untouched block is fine
+        # ``None`` stands for ``len(pool)``, the first code past the pool.
+        bad = with_code(block, table, column, lambda size: size if code is None else code)
+        with pytest.raises(StoreIntegrityError, match="codes leave the string pool"):
+            decode_block(*split_block(bad))
+
+    def test_last_valid_code_is_accepted(self):
+        block = with_code(
+            encode_block(sync_heavy_result(6)), "sync", "sender", lambda size: size - 1
+        )
+        decoded = decode_block(*split_block(block))
+        assert decoded.sync_messages[0].sender is not None
+
+    def test_scan_and_verify_count_it_corrupt_and_carry_on(self, tmp_path):
+        bad = with_code(encode_block(sync_heavy_result(6)), "sync", "receiver", lambda size: -1)
+        intact = encode_block(synthetic_result(4))
+        scan = scan_blocks(file_of(bad, intact))
+        assert (scan.valid, scan.corrupt) == (1, 1)
+        assert scan.valid_end == len(file_of(bad, intact))
+
+        campaign = build_campaign(experiments=2)
+        store = CampaignStore(tmp_path / "c", codec="columnar")
+        with store:
+            run_and_analyze(campaign, store=store)
+        path = store.columnar_path("alpha")
+        path.write_bytes(path.read_bytes() + bad)
+        report = store.verify()["alpha"]
+        assert (report.valid, report.corrupt, report.superseded) == (2, 1, 0)
+        assert sorted(store.load_study_records("alpha")) == [0, 1]
+
+
+class TestSyncTableInBlocks:
+    """The sync table goes into a block, and comes out of it, as columns."""
+
+    def test_appended_and_listed_tables_encode_to_the_same_bytes(self):
+        result = sync_heavy_result()
+        from_list = replace(result, sync_messages=list(result.sync_messages))
+        recoded = SyncTable(["unused", "h2", "h1", "h0"])
+        for m in result.sync_messages:
+            recoded.append(m.sender, m.receiver, m.send_time, m.receive_time)
+        block = encode_block(result)
+        assert encode_block(from_list) == block
+        assert encode_block(replace(result, sync_messages=recoded)) == block
+        # ... and a decoded table (coded against the block pool) re-encodes to them.
+        decoded = decode_block(*split_block(block))
+        assert decoded.sync_messages == result.sync_messages
+        assert encode_block(decoded) == block
+
+    def test_decoded_table_views_the_block(self):
+        decoded = decode_block(*split_block(encode_block(sync_heavy_result())))
+        table = decoded.sync_messages
+        assert isinstance(table, SyncTable) and len(table) == 200
+        for column in (table.sender, table.receiver, table.send_time, table.receive_time):
+            assert isinstance(column, np.ndarray) and not column.flags.owndata
+        assert table[0] == SyncMessageRecord("h0", "h1", 0.0, 2e-4)
+
+    def test_decoding_builds_no_per_message_objects(self):
+        # The property the archive path's speed rests on: a 200-message
+        # block decodes into a handful of containers, not 200 records (the
+        # row-building decoder allocated > 200 tracked objects here).
+        header, payload = split_block(encode_block(sync_heavy_result()))
+        decode_block(header, payload)  # warm the dtype and fault-spec caches
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            decoded = decode_block(header, payload)
+            grown = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert len(decoded.sync_messages) == 200
+        assert grown < 50, f"decoding one block left {grown} new tracked objects"
+
+    def test_slimmed_result_is_still_refused_by_append(self, tmp_path):
+        store = CampaignStore(tmp_path / "c", codec="columnar")
+        result = sync_heavy_result(6)
+        for empty in ([], SyncTable()):
+            with pytest.raises(StoreError, match="raw payload"):
+                store.append(replace(result, local_timelines={}, sync_messages=empty))
 
 
 # ---------------------------------------------------------------------------
