@@ -36,7 +36,6 @@ from repro.sim.network import (
     LAN_TCP_PROFILE,
     DeliveryEvent,
     LinkProfile,
-    Network,
     NetworkMessage,
     NetworkModel,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "LAN_TCP_PROFILE",
     "LinkProfile",
     "LinkState",
-    "Network",
     "NetworkConfig",
     "NetworkFaultKind",
     "NetworkFaultSpec",

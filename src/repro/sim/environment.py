@@ -228,7 +228,7 @@ class Environment:
         pair = (message.source, destination)
         dispatch_at = max(self.kernel.now + delay, self._dispatch_floor.get(pair, 0.0))
         self._dispatch_floor[pair] = dispatch_at
-        self.kernel.schedule_at(dispatch_at, self._dispatch, destination, message)
+        self.kernel.post_at(dispatch_at, self._dispatch, destination, message)
 
     def _dispatch(self, destination: str, message: NetworkMessage) -> None:
         process = self._processes.get(destination)
@@ -247,31 +247,17 @@ class Environment:
         """
         return list(self.network.events)
 
-    @property
-    def undeliverable(self) -> list[tuple[str, str]]:
-        """(source, destination) pairs of messages dropped because the target was dead.
-
-        Kept for compatibility; :attr:`delivery_events` carries the full
-        structured record (including substrate-level drops).
-        """
-        return [
-            (event.source, event.destination)
-            for event in self.network.events
-            if event.kind == "dead-target"
-        ]
-
     # -- execution -----------------------------------------------------------
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run the simulation (see :meth:`SimKernel.run`)."""
         self.kernel.run(until=until, max_events=max_events)
 
-    def run_until(self, condition: Callable[[], bool], timeout: float, check_interval: float = 0.001) -> bool:
+    def run_until(self, condition: Callable[[], bool], timeout: float) -> bool:
         """Run until ``condition()`` becomes true or ``timeout`` elapses.
 
         Returns ``True`` if the condition was met.  The condition is checked
-        after every processed event and at ``check_interval`` heartbeats so
-        that quiescent systems still time out promptly.
+        after every processed event.
         """
         deadline = self.kernel.now + timeout
         while self.kernel.now <= deadline:

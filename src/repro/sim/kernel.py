@@ -12,61 +12,39 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from typing import Any, Callable
 
 from repro.errors import RuntimePhaseError
 
 # A heap entry is a plain tuple ``(time, seq, handle, callback, args)``.
 # ``seq`` values are unique, so heap comparisons are decided entirely by the
-# ``(time, seq)`` prefix in C tuple comparison and never reach the handle —
-# replacing the previous dataclass entry whose generated ``__lt__`` dominated
-# the delivery benchmark's profile.  ``handle`` is ``None`` for events posted
-# through the fire-and-forget fast path (:meth:`SimKernel.post_at`), which
-# skips the :class:`EventHandle` allocation entirely.
+# ``(time, seq)`` prefix in C tuple comparison and never reach the handle.
+# ``handle`` is ``None`` for events that can never be cancelled
+# (:meth:`SimKernel.post_at`).  Only the kernel's own methods push entries.
 _QueueEntry = tuple[float, int, "EventHandle | None", Callable[..., Any], tuple]
-
-# The monotone lane stores no entry objects at all: it is a struct of
-# arrays — four parallel deques holding each event's time, sequence
-# number, callback, and single argument.  Per-event entry tuples would
-# all survive generation 0 (they sit in the queue until dispatched), and
-# those survivors are exactly what paces the cyclic GC during large send
-# bursts; deques of scalars and callables add nothing for the collector
-# to traverse.  The lane therefore only accepts single-argument
-# callbacks (the delivery hot path's shape) — other posts fall back to
-# the heap, which merges correctly by the shared ``(time, seq)`` key.
 
 
 class EventHandle:
     """Handle returned by :meth:`SimKernel.schedule` for cancellation."""
 
-    __slots__ = ("time", "callback", "args", "cancelled", "_kernel", "_in_queue")
+    __slots__ = ("time", "cancelled", "_kernel", "_in_queue")
 
-    def __init__(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple,
-        kernel: "SimKernel | None" = None,
-    ) -> None:
+    def __init__(self, time: float, kernel: "SimKernel") -> None:
         self.time = time
-        self.callback = callback
-        self.args = args
         self.cancelled = False
         self._kernel = kernel
-        self._in_queue = kernel is not None
+        self._in_queue = True
 
     def cancel(self) -> None:
         """Prevent the callback from running when its time arrives."""
         if self.cancelled:
             return
         self.cancelled = True
-        if self._in_queue and self._kernel is not None:
+        if self._in_queue:
             self._kernel._note_cancelled()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        return f"EventHandle(t={self.time:.6f}, cb={name}, cancelled={self.cancelled})"
+        return f"EventHandle(t={self.time:.6f}, cancelled={self.cancelled})"
 
 
 class SimKernel:
@@ -83,19 +61,6 @@ class SimKernel:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue: list[_QueueEntry] = []
-        # The monotone lane: :meth:`post_at` events whose times arrive in
-        # nondecreasing order (the overwhelmingly common case — network
-        # deliveries are clamped to a FIFO floor) are kept in plain FIFO
-        # deques instead of the heap.  Entries carry the same global
-        # ``(time, seq)`` ordering key, and the dispatch loops always run
-        # whichever lane's head is smaller, so the merged execution order
-        # is exactly the single-heap order — but the hot lane pops in O(1)
-        # instead of paying a full sift-down per event.  See the module
-        # comment above for why the lane is a struct of arrays.
-        self._posted_times: deque[float] = deque()
-        self._posted_seqs: deque[int] = deque()
-        self._posted_callbacks: deque[Callable[..., Any]] = deque()
-        self._posted_args: deque[Any] = deque()
         self._seq = itertools.count()
         self._events_processed = 0
         self._cancelled_in_queue = 0
@@ -118,7 +83,7 @@ class SimKernel:
         Maintained as a live counter, so this is O(1) rather than a scan of
         the queue (experiments cancel large numbers of watchdog timers).
         """
-        return len(self._queue) + len(self._posted_times) - self._cancelled_in_queue
+        return len(self._queue) - self._cancelled_in_queue
 
     @property
     def compactions(self) -> int:
@@ -137,70 +102,36 @@ class SimKernel:
             raise RuntimePhaseError(
                 f"cannot schedule an event at t={time} before current time t={self._now}"
             )
-        handle = EventHandle(time, callback, args, kernel=self)
+        handle = EventHandle(time, self)
         heapq.heappush(self._queue, (time, next(self._seq), handle, callback, args))
         return handle
 
     def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Schedule a callback that will never be cancelled (the fast path).
+        """Schedule a callback that will never be cancelled.
 
         Semantically identical to :meth:`schedule_at` — same validation,
         same ``(time, seq)`` ordering against every other event — but it
-        allocates no :class:`EventHandle`, which matters on per-message hot
-        paths like network delivery that schedule hundreds of thousands of
-        fire-and-forget events per campaign.
+        returns no :class:`EventHandle` and allocates none.
         """
         if time < self._now:
             raise RuntimePhaseError(
                 f"cannot schedule an event at t={time} before current time t={self._now}"
             )
-        times = self._posted_times
-        if len(args) == 1 and not (times and time < times[-1]):
-            self._posted_times.append(time)
-            self._posted_seqs.append(next(self._seq))
-            self._posted_callbacks.append(callback)
-            self._posted_args.append(args[0])
-        else:
-            # Out-of-order or non-unary post: fall back to the heap
-            # (correct for any time and arity).  The monotone lane stays
-            # sorted — and single-argument — by construction.
-            heapq.heappush(self._queue, (time, next(self._seq), None, callback, args))
-
-    def _posted_first(self) -> bool:
-        """Whether the monotone lane's head precedes the heap's head.
-
-        Assumes both lanes are non-empty; ties fall back to the globally
-        unique sequence numbers, exactly as heap-entry tuple comparison
-        would decide them.
-        """
-        head = self._queue[0]
-        time = self._posted_times[0]
-        return time < head[0] or (time == head[0] and self._posted_seqs[0] < head[1])
-
-    def _dispatch_posted(self) -> None:
-        """Pop and run the monotone lane's head event."""
-        self._now = self._posted_times.popleft()
-        self._posted_seqs.popleft()
-        self._events_processed += 1
-        self._posted_callbacks.popleft()(self._posted_args.popleft())
+        heapq.heappush(self._queue, (time, next(self._seq), None, callback, args))
 
     def step(self) -> bool:
         """Run the next pending callback.  Return ``False`` if none remain."""
         queue = self._queue
-        while queue or self._posted_times:
-            if queue and not (self._posted_times and self._posted_first()):
-                entry = heapq.heappop(queue)
-                handle = entry[2]
-                if handle is not None:
-                    if handle.cancelled:
-                        self._discard(handle)
-                        continue
-                    handle._in_queue = False
-                self._now = entry[0]
-                self._events_processed += 1
-                entry[3](*entry[4])
-            else:
-                self._dispatch_posted()
+        while queue:
+            time, _, handle, callback, args = heapq.heappop(queue)
+            if handle is not None:
+                if handle.cancelled:
+                    self._discard(handle)
+                    continue
+                handle._in_queue = False
+            self._now = time
+            self._events_processed += 1
+            callback(*args)
             return True
         return False
 
@@ -220,71 +151,27 @@ class SimKernel:
         # plain head access and popping skips a second cancellation
         # check, which removes two Python-level calls per event — a
         # measurable share of campaign runtime at hundreds of thousands
-        # of events.  Both lanes are drained in global ``(time, seq)``
-        # order (see ``_posted_times`` and friends).
+        # of events.
         queue = self._queue
-        times = self._posted_times
-        seqs = self._posted_seqs
-        callbacks = self._posted_callbacks
-        arguments = self._posted_args
         pop = heapq.heappop
         executed = 0
-        if until is None and max_events is None:
-            # Unbounded drain (the campaign-end and benchmark case):
-            # no limit checks, and the monotone lane pops without the
-            # peek-then-delete dance the `until` boundary needs.
-            while True:
-                if queue:
-                    if times and self._posted_first():
-                        self._now = times.popleft()
-                        seqs.popleft()
-                        self._events_processed += 1
-                        callbacks.popleft()(arguments.popleft())
-                        continue
-                    entry = pop(queue)
-                    handle = entry[2]
-                    if handle is not None:
-                        if handle.cancelled:
-                            self._discard(handle)
-                            continue
-                        handle._in_queue = False
-                    self._now = entry[0]
-                    self._events_processed += 1
-                    entry[3](*entry[4])
-                elif times:
-                    self._now = times.popleft()
-                    seqs.popleft()
-                    self._events_processed += 1
-                    callbacks.popleft()(arguments.popleft())
-                else:
-                    return
-        while queue or times:
+        while queue:
             if max_events is not None and executed >= max_events:
                 return
-            if queue and not (times and self._posted_first()):
-                entry = queue[0]
-                handle = entry[2]
-                if handle is not None and handle.cancelled:
-                    pop(queue)
-                    self._discard(handle)
-                    continue
-                if until is not None and entry[0] > until:
-                    self._now = max(self._now, until)
-                    return
+            entry = queue[0]
+            handle = entry[2]
+            if handle is not None and handle.cancelled:
                 pop(queue)
-                if handle is not None:
-                    handle._in_queue = False
-                self._now = entry[0]
-                self._events_processed += 1
-                entry[3](*entry[4])
-            else:
-                if until is not None and times[0] > until:
-                    self._now = max(self._now, until)
-                    return
-                self._now = times.popleft()
-                seqs.popleft()
-                self._events_processed += 1
-                callbacks.popleft()(arguments.popleft())
+                self._discard(handle)
+                continue
+            if until is not None and entry[0] > until:
+                break
+            pop(queue)
+            if handle is not None:
+                handle._in_queue = False
+            self._now = entry[0]
+            self._events_processed += 1
+            entry[3](*entry[4])
             executed += 1
         if until is not None:
             self._now = max(self._now, until)
@@ -327,8 +214,8 @@ class SimKernel:
                 live.append(entry)
         heapq.heapify(live)
         # In-place so the queue list object stays stable: run() holds a
-        # local alias across callbacks, and a callback may cancel enough
-        # timers to trigger compaction mid-loop.
+        # local alias across callbacks (a callback may cancel enough
+        # timers to trigger compaction mid-loop).
         self._queue[:] = live
         self._cancelled_in_queue = 0
         self._compactions += 1

@@ -221,17 +221,11 @@ class NetworkModel:
         # Resolved routes per endpoint pair: host_of is a pure function of
         # the endpoint string and links are stable objects mutated in
         # place, so cached routes never go stale.  _partitions aliases the
-        # topology's live partition list, and the four _posted_* bindings
-        # alias the kernel's monotone event lane (all stable objects,
-        # mutated in place only) for the per-send fast paths; see
-        # :meth:`send`.
+        # topology's live partition list (a stable object, mutated in place
+        # only) for the per-send fast path; see :meth:`send`.
         self._routes: dict[tuple[str, str], _Route] = {}
         self._partitions = topology._partitions
-        self._posted_times = kernel._posted_times
-        self._append_seq = kernel._posted_seqs.append
-        self._append_callback = kernel._posted_callbacks.append
-        self._append_arg = kernel._posted_args.append
-        self._next_seq = kernel._seq.__next__
+        self._post_at = kernel.post_at
         # ``_make`` is ``classmethod(tuple.__new__)`` — the C-level
         # constructor behind the generated ``__new__``, whose extra
         # Python frame is measurable at one message per send.
@@ -586,22 +580,12 @@ class NetworkModel:
             if floor > arrival:
                 arrival = floor
             route.floor = arrival
-        # Inlined kernel.post_at: delays are never negative, so arrival is
-        # a valid event time, and the flat monotone-lane append below is
-        # what post_at itself would do whenever the lane's tail allows it.
-        # Posted events can never be cancelled, so delivery is committed
-        # the moment the event is queued — the counter is incremented here
-        # and the event invokes ``deliver`` directly, with no per-message
+        # A posted event can never be cancelled, so delivery is committed
+        # the moment it is queued — the counter is incremented here and the
+        # event invokes ``deliver`` directly, with no per-message
         # bookkeeping trampoline between the kernel and the receiver.
         self.messages_delivered += 1
-        times = self._posted_times
-        if times and arrival < times[-1]:
-            self._kernel.post_at(arrival, deliver, message)
-        else:
-            times.append(arrival)
-            self._append_seq(self._next_seq())
-            self._append_callback(deliver)
-            self._append_arg(message)
+        self._post_at(arrival, deliver, message)
         if link.duplicate_probability > 0 and next_u() < link.duplicate_probability:
             if jitter_mean > 0:
                 duplicate_delay = (
@@ -614,7 +598,7 @@ class NetworkModel:
             self.messages_duplicated += 1
             self.messages_delivered += 1
             self.record_event("duplicated", source, destination, detail=link.name)
-            self._kernel.post_at(duplicate_arrival, deliver, message)
+            self._post_at(duplicate_arrival, deliver, message)
         return message
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -623,7 +607,3 @@ class NetworkModel:
             f"dropped={self.messages_dropped}, duplicated={self.messages_duplicated}, "
             f"reordered={self.messages_reordered})"
         )
-
-
-#: Backwards-compatible alias: the pre-topology delivery engine was ``Network``.
-Network = NetworkModel

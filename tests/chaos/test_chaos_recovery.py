@@ -12,8 +12,10 @@ The seed-derivation contract is what makes that assertion possible —
 every experiment's seed is a pure function of (study, index), so no
 matter which worker re-ran what, the merged records must match exactly.
 
-There is one parallel engine with two backend names; the cheap scenarios
-run under both.
+There is one parallel engine with two backend names
+(``test_both_parallel_names_build_the_same_executor_class`` in
+``tests/test_execution.py`` pins that both build it); the scenarios here
+run under one of them.
 
 This module is self-contained (the ``tests/chaos/`` directory is its own
 rootdir for imports) so CI's ``chaos-smoke`` job can run it in isolation.
@@ -32,7 +34,6 @@ import pytest
 from repro.apps.toggle import build_toggle_study
 from repro.core.campaign import CampaignConfig, CampaignRunner
 from repro.core.execution import (
-    DISTRIBUTED,
     PROCESS_POOL,
     ExecutionConfig,
     available_backends,
@@ -56,8 +57,8 @@ pytestmark = pytest.mark.skipif(
     reason="the parallel backend needs the fork start method",
 )
 
-#: The two names of the one parallel engine.
-both_names = pytest.mark.parametrize("backend", [PROCESS_POOL, DISTRIBUTED])
+#: One name of the one parallel engine (``distributed`` builds the same class).
+parallel_name = pytest.mark.parametrize("backend", [PROCESS_POOL])
 
 #: Supervision tuned for chaos: fast heartbeats, fast death verdicts,
 #: near-instant retries — so injected faults are detected in tens of
@@ -166,7 +167,7 @@ def killer_of(victims: int, gate: Path) -> type[CampaignCoordinator]:
 
 
 class TestWorkerSigkill:
-    @both_names
+    @parallel_name
     def test_sigkill_mid_shard_recovers_bit_identical(self, backend, tmp_path):
         # SIGKILL the worker that delivers the first completion.  Its
         # shard (6 experiments) is mid-flight, so the lease is torn and
@@ -252,7 +253,7 @@ class TestWorkerSigkill:
 
 
 class TestDroppedHeartbeats:
-    @both_names
+    @parallel_name
     def test_silent_hung_worker_is_declared_dead_and_reassigned(self, backend, tmp_path):
         # Worker 0 takes a lease, then hangs with its heartbeat beacon
         # disabled — the fault the heartbeat monitor exists for.  Its
@@ -281,7 +282,7 @@ class TestDroppedHeartbeats:
 
 
 class TestDuplicatedCompletions:
-    @both_names
+    @parallel_name
     def test_every_record_sent_twice_is_merged_once(self, backend, tmp_path):
         # Every worker sends every completion twice (an at-least-once
         # delivery fault).  Idempotent first-wins dedup must keep exactly
@@ -381,7 +382,7 @@ class AlwaysCrashingRunner(CampaignRunner):
 
 
 class TestRunnerCrashRecovery:
-    @both_names
+    @parallel_name
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_crash_is_retried_and_campaign_completes(self, backend, workers, tmp_path):
         # With one worker the lost lease has no survivor to move to: the
@@ -400,7 +401,7 @@ class TestRunnerCrashRecovery:
         assert measures == baseline
         assert fingerprint == base_print
 
-    @both_names
+    @parallel_name
     def test_exhausted_retries_report_the_dead_experiments(self, backend):
         campaign = build_campaign(experiments=3)
         config = ExecutionConfig(backend=backend, workers=2, max_retries=0, **CHAOS_KNOBS)
@@ -451,7 +452,7 @@ def fork_fails_for(*worker_ids: int) -> type[CampaignCoordinator]:
 
 
 class TestGracefulDegradation:
-    @both_names
+    @parallel_name
     def test_zero_workers_falls_back_to_serial(self, backend):
         campaign = build_campaign(experiments=2)
         serial = campaign_measures_of(run_and_analyze(campaign, ExecutionConfig.serial()))
@@ -463,7 +464,7 @@ class TestGracefulDegradation:
         assert campaign_measures_of(analysis) == serial
         assert executor.stats["completions"] == 0  # nothing ran in a worker
 
-    @both_names
+    @parallel_name
     def test_missing_workers_degrade_with_warning(self, backend):
         # One worker of three cannot be forked: the campaign completes on
         # the two that could, warning about the degradation.

@@ -384,7 +384,6 @@ class RaisingRunner(CampaignRunner):
     [
         SERIAL,
         pytest.param(PROCESS_POOL, marks=needs_pool),
-        pytest.param(DISTRIBUTED, marks=needs_pool),
     ],
 )
 def test_raising_experiment_surfaces_with_its_own_type(backend):

@@ -82,12 +82,13 @@ def test_processes_on_same_host_use_ipc_profile():
     assert echo.received == [1]
 
 
-def test_message_to_dead_process_recorded_as_undeliverable():
+def test_message_to_dead_process_recorded_as_dead_target():
     env = make_env()
     starter = Starter("starter", "ghost")
     env.spawn(starter, "hosta")
     env.run()
-    assert ("starter", "ghost") in env.undeliverable
+    dead = [(e.source, e.destination) for e in env.delivery_events if e.kind == "dead-target"]
+    assert dead == [("starter", "ghost")]
 
 
 def test_process_crash_notifies_listeners():

@@ -5,13 +5,13 @@ import pytest
 from repro.errors import RuntimeConfigurationError
 from repro.sim.host import Host, SchedulerConfig
 from repro.sim.kernel import SimKernel
-from repro.sim.network import IPC_PROFILE, LAN_TCP_PROFILE, LinkProfile, Network
+from repro.sim.network import IPC_PROFILE, LAN_TCP_PROFILE, LinkProfile, NetworkModel
 from repro.sim.rng import RandomStreams
 
 
 def make_network(default=LAN_TCP_PROFILE):
     kernel = SimKernel()
-    return kernel, Network(kernel, RandomStreams(1), default_profile=default)
+    return kernel, NetworkModel(kernel, RandomStreams(1), default_profile=default)
 
 
 class TestLinkProfile:
