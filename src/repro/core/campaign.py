@@ -390,16 +390,16 @@ class CampaignRunner:
     def _run_until_complete(
         environment: Environment, context: ExperimentContext, study: StudyConfig
     ) -> None:
-        # The central daemon's timeout timer guarantees eventual completion;
+        # The central daemon's timeout timer guarantees eventual completion,
+        # and completion stops the kernel (ExperimentContext.mark_complete);
         # the study's event cap is a backstop against runaway applications
         # that generate unbounded numbers of events within the timeout.
         # Hitting the cap means the run is truncated mid-flight, so it is
         # recorded as aborted rather than returned as (half-run) data.
-        processed = 0
-        while not context.experiment_complete and processed < study.max_events:
-            if not environment.kernel.step():
-                break
-            processed += 1
+        kernel = environment.kernel
+        before = kernel.events_processed
+        kernel.run(max_events=study.max_events)
+        processed = kernel.events_processed - before
         if not context.experiment_complete and processed >= study.max_events:
             context.mark_aborted(f"event cap reached ({study.max_events} events)")
 

@@ -233,11 +233,16 @@ class ExperimentContext:
         return node
 
     def mark_complete(self) -> None:
-        """Flag the experiment as complete (set by the central daemon)."""
+        """Flag the experiment as complete and stop the kernel's run.
+
+        Set by the central daemon; the campaign's :meth:`SimKernel.run`
+        returns before the next event.
+        """
         self.experiment_complete = True
+        self.environment.kernel.stop()
 
     def mark_aborted(self, reason: str) -> None:
         """Flag the experiment as aborted (timeout or daemon failure)."""
         self.experiment_aborted = True
         self.abort_reason = reason
-        self.experiment_complete = True
+        self.mark_complete()

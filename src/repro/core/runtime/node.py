@@ -96,12 +96,8 @@ class LokiNodeProcess(SimProcess):
     def _build_transport(self):
         daemon = self.context.daemon_name(self.host.name, self.name)
         if self.context.design.communication is CommunicationMode.VIA_DAEMON:
-            return DaemonRoutedTransport(
-                send=self.send, machine=self.name, host=self.host.name, daemon=daemon
-            )
-        return DirectTransport(
-            send=self.send, machine=self.name, host=self.host.name, daemon=daemon
-        )
+            return DaemonRoutedTransport(send=self.send, host=self.host.name, daemon=daemon)
+        return DirectTransport(send=self.send, host=self.host.name, daemon=daemon)
 
     def _inject_network_fault(self, fault) -> float:
         """Apply a topology-mutating fault (the network analogue of the probe).

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.analysis.clock_sync import SyncTable
 from repro.sim.environment import Environment
+from repro.sim.host import Host
 
 
 @dataclass(frozen=True)
@@ -64,29 +65,35 @@ def run_sync_phase(
     config = config or SyncPhaseConfig()
     records = SyncTable() if table is None else table
     kernel = environment.kernel
+    hosts_by_name = environment.hosts
     lan = environment.lan_profile
     rng = environment.streams.stream("sync-phase")
 
+    # Nothing cancels these events, so they are posted (no handles) at the
+    # absolute times ``schedule(delay)`` would compute: ``now + delay``.
     def exchange(sender: str, receiver: str) -> None:
-        send_clock = environment.read_clock(sender)
-        receiver_host = environment.host(receiver)
+        now = kernel.now
+        send_clock = hosts_by_name[sender].clock.read(now)
+        receiver_host = hosts_by_name[receiver]
         if config.dedicated_receiver:
             wakeup = receiver_host.scheduler.context_switch_cost
         else:
             wakeup = receiver_host.scheduling_delay()
         delay = lan.sample_delay(rng) + wakeup
-        kernel.schedule(delay, record_reception, sender, receiver, send_clock)
+        kernel.post_at(now + delay, record_reception, sender, receiver_host, send_clock)
 
-    def record_reception(sender: str, receiver: str, send_clock: float) -> None:
-        records.append(sender, receiver, send_clock, environment.read_clock(receiver))
+    def record_reception(sender: str, receiver: Host, send_clock: float) -> None:
+        receive_clock = receiver.clock.read(kernel.now)
+        records.append(sender, receiver.name, send_clock, receive_clock)
 
+    start = kernel.now
     others = [host for host in hosts if host != reference]
     for round_index in range(config.messages_per_phase):
         when = round_index * config.interval
         for host in others:
-            kernel.schedule(when, exchange, reference, host)
-            kernel.schedule(when + config.interval / 2.0, exchange, host, reference)
+            kernel.post_at(start + when, exchange, reference, host)
+            kernel.post_at(start + (when + config.interval / 2.0), exchange, host, reference)
 
-    phase_end = kernel.now + config.messages_per_phase * config.interval + 0.010
-    environment.run(until=phase_end)
+    phase_end = start + config.messages_per_phase * config.interval + 0.010
+    kernel.run(until=phase_end)
     return records

@@ -72,53 +72,40 @@ class LoopbackTransport(StateMachineTransport):
 
 
 class NodeTransportBase(StateMachineTransport):
-    """Common plumbing for transports attached to a :class:`LokiNodeProcess`."""
+    """Common plumbing for transports attached to a :class:`LokiNodeProcess`.
 
-    def __init__(self, send: Callable[[str, object], None], machine: str, host: str) -> None:
+    ``send`` is the node's own send; crashes and exits are always reported
+    to the node's ``daemon`` (the transports differ only in how state
+    notifications travel).
+    """
+
+    def __init__(self, send: Callable[[str, object], None], host: str, daemon: str) -> None:
         self._send = send
-        self._machine = machine
         self._host = host
+        self._daemon = daemon
         self.notifications_sent = 0
 
-    def _dispatch(self, destination: str, payload: object) -> None:
-        self._send(destination, payload)
-
-
-class DaemonRoutedTransport(NodeTransportBase):
-    """Notifications are handed to the node's daemon for routing."""
-
-    def __init__(
-        self,
-        send: Callable[[str, object], None],
-        machine: str,
-        host: str,
-        daemon: str,
-    ) -> None:
-        super().__init__(send, machine, host)
-        self._daemon = daemon
-
-    @property
-    def daemon(self) -> str:
-        """Process name of the daemon this transport is connected to."""
-        return self._daemon
-
-    def send_state_notification(self, source: str, targets: tuple[str, ...], state: str) -> None:
-        if not targets:
-            return
-        self.notifications_sent += 1
-        self._dispatch(
-            self._daemon,
-            msg.RouteStateNotification(source=source, targets=tuple(targets), state=state),
-        )
-
     def notify_crash(self, machine: str) -> None:
-        self._dispatch(
+        self._send(
             self._daemon,
             msg.CrashNotification(machine=machine, host=self._host, self_reported=True),
         )
 
     def notify_exit(self, machine: str) -> None:
-        self._dispatch(self._daemon, msg.ExitNotification(machine=machine, host=self._host))
+        self._send(self._daemon, msg.ExitNotification(machine=machine, host=self._host))
+
+
+class DaemonRoutedTransport(NodeTransportBase):
+    """Notifications are handed to the node's daemon for routing."""
+
+    def send_state_notification(self, source: str, targets: tuple[str, ...], state: str) -> None:
+        if not targets:
+            return
+        self.notifications_sent += 1
+        self._send(
+            self._daemon,
+            msg.RouteStateNotification(source=source, targets=tuple(targets), state=state),
+        )
 
 
 class DirectTransport(NodeTransportBase):
@@ -129,26 +116,7 @@ class DirectTransport(NodeTransportBase):
     runtime where the daemon-equivalent bookkeeping lived in the GUI.
     """
 
-    def __init__(
-        self,
-        send: Callable[[str, object], None],
-        machine: str,
-        host: str,
-        daemon: str,
-    ) -> None:
-        super().__init__(send, machine, host)
-        self._daemon = daemon
-
     def send_state_notification(self, source: str, targets: tuple[str, ...], state: str) -> None:
         for target in targets:
             self.notifications_sent += 1
-            self._dispatch(target, msg.StateNotification(source=source, state=state))
-
-    def notify_crash(self, machine: str) -> None:
-        self._dispatch(
-            self._daemon,
-            msg.CrashNotification(machine=machine, host=self._host, self_reported=True),
-        )
-
-    def notify_exit(self, machine: str) -> None:
-        self._dispatch(self._daemon, msg.ExitNotification(machine=machine, host=self._host))
+            self._send(target, msg.StateNotification(source=source, state=state))

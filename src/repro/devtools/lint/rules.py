@@ -231,7 +231,7 @@ class NoWallClock(Rule):
             self.report(
                 node,
                 f"wall-clock read '{chain}' — deterministic code must use the "
-                "simulated clocks (kernel.now / host.read_clock)",
+                "simulated clocks (kernel.now / SimProcess.local_clock)",
             )
 
 

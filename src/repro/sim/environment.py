@@ -9,6 +9,7 @@ experiment so that no state leaks between experiments.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 from repro.errors import RuntimeConfigurationError, RuntimePhaseError
@@ -91,11 +92,7 @@ class Environment:
                 f"host {name!r} already exists (hosts: {sorted(self._hosts)})"
             )
         host = Host(
-            name,
-            self.kernel,
-            self.streams,
-            clock=clock,
-            scheduler=scheduler or self._default_scheduler,
+            name, self.streams, clock=clock, scheduler=scheduler or self._default_scheduler
         )
         self._hosts[name] = host
         return host
@@ -130,19 +127,19 @@ class Environment:
                 "(the endpoint separator)"
             )
         existing = self._processes.get(process.name)
-        if existing is not None and existing.alive:
+        if existing is not None and existing._alive:
             raise RuntimeConfigurationError(
                 f"a live process named {process.name!r} already exists "
-                f"on host {existing.host.name!r}"
+                f"on host {existing._host.name!r}"
             )
         process._bind(self, host)
-        host.attach_process(process)
         self._processes[process.name] = process
-        self.kernel.schedule(start_delay, self._start_process, process)
+        kernel = self.kernel
+        kernel.post_at(kernel._now + start_delay, self._start_process, process)
         return process
 
     def _start_process(self, process: SimProcess) -> None:
-        if process.alive:
+        if process._alive:
             process.start()
 
     def process(self, name: str) -> SimProcess | None:
@@ -154,14 +151,8 @@ class Environment:
         """All processes ever spawned in the environment, by name."""
         return dict(self._processes)
 
-    def live_processes(self) -> list[SimProcess]:
-        """Processes that are currently alive."""
-        # repro-lint: disable=R003 insertion-ordered registry; spawn order is deterministic
-        return [p for p in self._processes.values() if p.alive]
-
     def process_terminated(self, process: SimProcess, crashed: bool) -> None:
         """Internal: called by processes when they exit or crash."""
-        process.host.detach_process(process.name)
         for listener in list(self._termination_listeners):
             listener(process, crashed)
 
@@ -174,66 +165,54 @@ class Environment:
     def endpoint(self, process_name: str) -> str:
         """The network endpoint identifier of a process."""
         process = self._processes.get(process_name)
-        if process is None or process._host is None:
-            return f"?/{process_name}"
-        return f"{process._host.name}/{process_name}"
+        return f"?/{process_name}" if process is None else process._endpoint
 
-    def send(
-        self,
-        source: str,
-        destination: str,
-        payload: Any,
-        size_bytes: int = 0,
-        profile: LinkProfile | None = None,
-    ) -> None:
+    def send(self, source: str, destination: str, payload: Any) -> None:
         """Send ``payload`` from one named process to another.
 
         The link is resolved from the topology: the hosts of the two
         processes select the intra-host IPC link or the inter-host link,
         whose current :class:`~repro.sim.topology.LinkState` governs
-        delay, loss, duplication, reordering, and outages.  An explicit
-        ``profile`` replaces the link's delay/loss profile for this one
-        message (outages, duplication, and reordering still apply).
-        Delivery charges the
-        destination host's scheduling delay before the receiving process's
-        ``receive`` method runs; messages to dead processes are dropped
-        and recorded as ``"dead-target"`` delivery events.
+        delay, loss, duplication, reordering, and outages.  Delivery
+        charges the destination host's scheduling delay before the
+        receiving process's ``receive`` method runs; messages to dead
+        processes are dropped and recorded as ``"dead-target"`` delivery
+        events between the two process names, whether the target was dead
+        at the send or died while the message was in flight.
         """
         src = self._processes.get(source)
         dst = self._processes.get(destination)
         if src is None:
             raise RuntimePhaseError(f"unknown sender process {source!r}")
-        if dst is None or not dst.alive:
+        if dst is None or not dst._alive:
             self.network.record_event("dead-target", source, destination)
             return
         self.network.send(
-            self.endpoint(source),
-            self.endpoint(destination),
+            src._endpoint,
+            dst._endpoint,
             payload,
-            deliver=lambda message, name=destination: self._deliver(name, message),
-            profile=profile,
-            size_bytes=size_bytes,
+            partial(self._deliver, source, destination),
         )
 
-    def _deliver(self, destination: str, message: NetworkMessage) -> None:
+    def _deliver(self, source: str, destination: str, message: NetworkMessage) -> None:
         process = self._processes.get(destination)
-        if process is None or not process.alive:
-            self.network.record_event("dead-target", message.source, destination)
+        if process is None or not process._alive:
+            self.network.record_event("dead-target", source, destination)
             return
-        delay = process.host.scheduling_delay()
+        delay = process._host.scheduling_delay()
         # A receiving process drains one connection's messages in arrival
         # order: its per-message scheduling delay must not let a later
         # message from the same sender overtake an earlier one (the kernel
         # breaks equal-time ties by insertion order, preserving FIFO).
         pair = (message.source, destination)
-        dispatch_at = max(self.kernel.now + delay, self._dispatch_floor.get(pair, 0.0))
+        dispatch_at = max(self.kernel._now + delay, self._dispatch_floor.get(pair, 0.0))
         self._dispatch_floor[pair] = dispatch_at
-        self.kernel.post_at(dispatch_at, self._dispatch, destination, message)
+        self.kernel.post_at(dispatch_at, self._dispatch, source, destination, message)
 
-    def _dispatch(self, destination: str, message: NetworkMessage) -> None:
+    def _dispatch(self, source: str, destination: str, message: NetworkMessage) -> None:
         process = self._processes.get(destination)
-        if process is None or not process.alive:
-            self.network.record_event("dead-target", message.source, destination)
+        if process is None or not process._alive:
+            self.network.record_event("dead-target", source, destination)
             return
         process.receive(message)
 
@@ -252,30 +231,6 @@ class Environment:
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run the simulation (see :meth:`SimKernel.run`)."""
         self.kernel.run(until=until, max_events=max_events)
-
-    def run_until(self, condition: Callable[[], bool], timeout: float) -> bool:
-        """Run until ``condition()`` becomes true or ``timeout`` elapses.
-
-        Returns ``True`` if the condition was met.  The condition is checked
-        after every processed event.
-        """
-        deadline = self.kernel.now + timeout
-        while self.kernel.now <= deadline:
-            if condition():
-                return True
-            if not self.kernel.step():
-                return condition()
-            if self.kernel.now > deadline:
-                break
-        return condition()
-
-    def read_clock(self, host_name: str) -> float:
-        """Read a host's hardware clock at the current instant."""
-        return self.host(host_name).read_clock()
-
-    def clock_table(self) -> dict[str, HardwareClock]:
-        """Mapping of host name to its hardware clock (ground truth for tests)."""
-        return {name: host.clock for name, host in self._hosts.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

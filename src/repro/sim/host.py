@@ -13,15 +13,10 @@ running: a context-switch cost plus a uniformly distributed wait of up to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import RuntimeConfigurationError
 from repro.sim.clock import ClockParameters, HardwareClock
-from repro.sim.kernel import SimKernel
 from repro.sim.rng import RandomStreams
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.sim.process import SimProcess
 
 
 @dataclass(frozen=True)
@@ -62,57 +57,27 @@ class SchedulerConfig:
 
 
 class Host:
-    """A machine of the distributed system: clock, OS scheduler, processes."""
+    """A machine of the distributed system: its hardware clock and OS scheduler.
+
+    Processes read ``clock`` at the kernel's current time themselves (see
+    :meth:`~repro.sim.process.SimProcess.local_clock`); the environment
+    keeps the registry of which process runs where.
+    """
 
     def __init__(
         self,
         name: str,
-        kernel: SimKernel,
         streams: RandomStreams,
         clock: ClockParameters | HardwareClock | None = None,
         scheduler: SchedulerConfig | None = None,
     ) -> None:
         self.name = name
-        self._kernel = kernel
         self._rng = streams.stream(f"host:{name}")
         if isinstance(clock, HardwareClock):
             self.clock = clock
         else:
             self.clock = HardwareClock(clock or ClockParameters())
         self.scheduler = scheduler or SchedulerConfig()
-        self._processes: dict[str, "SimProcess"] = {}
-        self._crashed = False
-
-    @property
-    def kernel(self) -> SimKernel:
-        """The kernel this host is attached to."""
-        return self._kernel
-
-    @property
-    def crashed(self) -> bool:
-        """Whether the whole host has crashed (Section 3.6.4)."""
-        return self._crashed
-
-    @property
-    def processes(self) -> dict[str, "SimProcess"]:
-        """Mapping of process name to process currently placed on this host."""
-        return dict(self._processes)
-
-    def read_clock(self) -> float:
-        """Read the host's hardware clock at the current physical time."""
-        return self.clock.read(self._kernel.now)
-
-    def attach_process(self, process: "SimProcess") -> None:
-        """Place a process on this host."""
-        if process.name in self._processes:
-            raise RuntimeConfigurationError(
-                f"process {process.name!r} already exists on host {self.name!r}"
-            )
-        self._processes[process.name] = process
-
-    def detach_process(self, name: str) -> None:
-        """Remove a process from this host (after exit, crash, or migration)."""
-        self._processes.pop(name, None)
 
     def scheduling_delay(self) -> float:
         """Sample the delay before a woken process runs on the CPU."""
@@ -122,16 +87,5 @@ class Host:
             delay += self._rng.uniform(0.0, config.runnable_competitors * config.timeslice)
         return delay
 
-    def crash(self) -> None:
-        """Crash the host: every process on it crashes immediately."""
-        self._crashed = True
-        for process in list(self._processes.values()):
-            if process.alive:
-                process.crash(reason="host crash")
-
-    def reboot(self) -> None:
-        """Bring a crashed host back up (with no processes running)."""
-        self._crashed = False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Host({self.name!r}, processes={sorted(self._processes)}, crashed={self._crashed})"
+        return f"Host({self.name!r}, clock={self.clock!r})"

@@ -65,6 +65,7 @@ class SimKernel:
         self._events_processed = 0
         self._cancelled_in_queue = 0
         self._compactions = 0
+        self._stopped = False
 
     @property
     def now(self) -> float:
@@ -135,14 +136,24 @@ class SimKernel:
             return True
         return False
 
+    def stop(self) -> None:
+        """Make the current :meth:`run` return before its next event.
+
+        A callback calls this when the phase it belongs to is over (the
+        campaign's experiment completion does); the next :meth:`run`
+        starts afresh.
+        """
+        self._stopped = True
+
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Run callbacks until the queue drains or a limit is reached.
+        """Run callbacks until the queue drains, a limit is reached or :meth:`stop`.
 
         Parameters
         ----------
         until:
             If given, stop once the next pending callback would run after
-            this time; the kernel clock is then advanced to ``until``.
+            this time; the kernel clock is then advanced to ``until``
+            (not after a :meth:`stop`).
         max_events:
             If given, stop after executing this many callbacks (a guard
             against runaway experiments).
@@ -155,8 +166,9 @@ class SimKernel:
         queue = self._queue
         pop = heapq.heappop
         executed = 0
+        self._stopped = False
         while queue:
-            if max_events is not None and executed >= max_events:
+            if self._stopped or (max_events is not None and executed >= max_events):
                 return
             entry = queue[0]
             handle = entry[2]

@@ -100,16 +100,13 @@ class NetworkMessage(NamedTuple):
     than a dataclass: messages are created once per send on the hottest
     path in the simulator, and a tuple of atomic fields is both cheaper to
     build and invisible to the cyclic GC, whose generation scans otherwise
-    pace large send bursts.  ``metadata`` carries optional caller context
-    (attach it at construction; messages are immutable).
+    pace large send bursts.
     """
 
     source: str
     destination: str
     payload: Any
     sent_at: float
-    size_bytes: int = 0
-    metadata: dict | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -506,8 +503,6 @@ class NetworkModel:
         destination: str,
         payload: Any,
         deliver: Callable[[NetworkMessage], None],
-        profile: LinkProfile | None = None,
-        size_bytes: int = 0,
     ) -> NetworkMessage:
         """Send ``payload`` from ``source`` to ``destination``.
 
@@ -516,7 +511,7 @@ class NetworkModel:
         Returns the in-flight message object.
         """
         now = self._kernel._now  # .now is a Python-level property; this path is hot
-        message = self._make_message((source, destination, payload, now, size_bytes, None))
+        message = self._make_message((source, destination, payload, now))
         self.messages_sent += 1
         pair = (source, destination)
         route = self._routes.get(pair)
@@ -546,22 +541,22 @@ class NetworkModel:
         # LinkProfile.delay_from_uniform), so the outcomes are the ones
         # ``Random.expovariate``/``uniform`` calls at these points would
         # give (pinned by ``tests/data/network_batched_golden.json``).
-        chosen = profile or link.profile
+        profile = link.profile
         next_u = self._next_u
-        if chosen.loss_probability > 0 and next_u() < chosen.loss_probability:
+        if profile.loss_probability > 0 and next_u() < profile.loss_probability:
             self.messages_dropped += 1
             self.record_event("lost", source, destination, detail=link.name)
             return message
-        jitter_mean = chosen.jitter_mean
+        jitter_mean = profile.jitter_mean
         if jitter_mean > 0:
             try:
                 u = self._draw_u()
             except IndexError:  # block ran dry; refill it in place
                 self._refill_u()
                 u = self._draw_u()
-            delay = chosen.base_delay + -log(1.0 - u) / (1.0 / jitter_mean)
+            delay = profile.base_delay + -log(1.0 - u) / (1.0 / jitter_mean)
         else:
-            delay = chosen.base_delay
+            delay = profile.base_delay
         # TCP (and the shared-memory IPC queue) deliver in order per
         # connection: a message must not overtake an earlier one on the
         # same directed endpoint pair, however the jitter draws land.  The
@@ -589,10 +584,10 @@ class NetworkModel:
         if link.duplicate_probability > 0 and next_u() < link.duplicate_probability:
             if jitter_mean > 0:
                 duplicate_delay = (
-                    chosen.base_delay + -log(1.0 - next_u()) / (1.0 / jitter_mean)
+                    profile.base_delay + -log(1.0 - next_u()) / (1.0 / jitter_mean)
                 )
             else:
-                duplicate_delay = chosen.base_delay
+                duplicate_delay = profile.base_delay
             duplicate_arrival = max(now + duplicate_delay, route.floor)
             route.floor = duplicate_arrival
             self.messages_duplicated += 1

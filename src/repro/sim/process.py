@@ -17,6 +17,7 @@ from repro.sim.kernel import EventHandle
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.sim.environment import Environment
     from repro.sim.host import Host
+    from repro.sim.kernel import SimKernel
     from repro.sim.network import NetworkMessage
 
 
@@ -25,14 +26,18 @@ class SimProcess:
 
     Subclasses override :meth:`start`, :meth:`receive`, and optionally
     :meth:`on_crash` / :meth:`on_exit`.  All interaction with the outside
-    world goes through the environment: sending messages, setting timers,
-    and reading the local hardware clock.
+    world goes through the services the environment binds at placement:
+    sending messages (the environment), setting timers (the kernel), and
+    reading the local hardware clock (the host).
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._environment: "Environment | None" = None
         self._host: "Host | None" = None
+        self._kernel: "SimKernel | None" = None
+        #: The ``"host/name"`` network endpoint, fixed when the process is placed.
+        self._endpoint: str | None = None
         self._alive = False
         self._exited = False
         self._crashed = False
@@ -72,6 +77,8 @@ class SimProcess:
     def _bind(self, environment: "Environment", host: "Host") -> None:
         self._environment = environment
         self._host = host
+        self._kernel = environment.kernel
+        self._endpoint = f"{host.name}/{self.name}"
         self._alive = True
         self._exited = False
         self._crashed = False
@@ -91,22 +98,21 @@ class SimProcess:
         """Hook invoked when the process exits cleanly."""
 
     # -- services provided to subclasses ------------------------------------
-
-    def now(self) -> float:
-        """Physical simulation time (not visible to real systems; test aid)."""
-        return self.environment.kernel.now
+    #
+    # These run once or more per simulated event, so they use what _bind
+    # stored (an unplaced process fails with AttributeError on None).
 
     def local_clock(self) -> float:
         """Read the local host's hardware clock (what real code would see)."""
-        return self.host.read_clock()
+        return self._host.clock.read(self._kernel._now)
 
-    def send(self, destination: str, payload: Any, size_bytes: int = 0) -> None:
+    def send(self, destination: str, payload: Any) -> None:
         """Send a message to another process, addressed by process name."""
-        self.environment.send(self.name, destination, payload, size_bytes=size_bytes)
+        self._environment.send(self.name, destination, payload)
 
     def set_timer(self, delay: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule a local callback; it is cancelled if the process dies."""
-        handle = self.environment.kernel.schedule(delay, self._fire_timer, callback, args)
+        handle = self._kernel.schedule(delay, self._fire_timer, callback, args)
         self._timers.append(handle)
         return handle
 
@@ -122,7 +128,7 @@ class SimProcess:
         self._exited = True
         self._cancel_timers()
         self.on_exit()
-        self.environment.process_terminated(self, crashed=False)
+        self._environment.process_terminated(self, crashed=False)
 
     def crash(self, reason: str = "injected fault") -> None:
         """Terminate the process abruptly (a crash failure)."""
@@ -132,7 +138,7 @@ class SimProcess:
         self._crashed = True
         self._cancel_timers()
         self.on_crash(reason)
-        self.environment.process_terminated(self, crashed=True)
+        self._environment.process_terminated(self, crashed=True)
 
     def _cancel_timers(self) -> None:
         for handle in self._timers:

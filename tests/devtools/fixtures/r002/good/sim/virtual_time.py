@@ -5,5 +5,5 @@ def stamp(kernel) -> float:
     return kernel.now
 
 
-def local_time(host) -> float:
-    return host.read_clock()
+def local_time(process) -> float:
+    return process.local_clock()

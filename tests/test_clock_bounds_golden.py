@@ -13,8 +13,16 @@ and the end-to-end digests cover four scenarios; this file is what says the
 columnar input side (boolean masks, ``numpy.lexsort``, one hull sweep)
 feeds the sweep the very same lines in the very same order.  To pin a new
 scenario, record the same values for it with the solver as it stands.
+
+``tests/data/runtime_golden.json`` pins the raw runtime output of the same
+runs, one SHA-256 per experiment (see :func:`runtime_digest`): the sync
+table, every local-timeline record, the stats, the duration and the
+completion flags.  It was generated at commit ``d3f0c5f``, the last one
+whose campaign drove the kernel one ``step()`` at a time, and is checked
+inside the bounds loop so it costs no extra simulation.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -26,6 +34,8 @@ from repro.scenarios import DEFAULT_REGISTRY
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "clock_bounds_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+RUNTIME_GOLDEN_PATH = Path(__file__).parent / "data" / "runtime_golden.json"
+RUNTIME_GOLDEN = json.loads(RUNTIME_GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 def pin(bounds: ClockBounds) -> dict:
@@ -38,8 +48,28 @@ def pin(bounds: ClockBounds) -> dict:
     }
 
 
+def runtime_digest(result) -> str:
+    """SHA-256 over everything the runtime phase hands to the analysis phase."""
+    table = result.sync_messages
+    lines = [
+        f"sync {m.sender} {m.receiver} {m.send_time.hex()} {m.receive_time.hex()}"
+        for m in table
+    ]
+    for machine, timeline in result.local_timelines.items():
+        lines.append(f"timeline {machine}")
+        lines.extend(
+            f"{r.kind.value} {r.time.hex()} {r.host} {r.event} {r.new_state} {r.fault} {r.note}"
+            for r in timeline.records
+        )
+    lines.append(f"stats {sorted(result.stats.items())}")
+    lines.append(f"duration {result.duration.hex()}")
+    lines.append(f"status {result.completed} {result.aborted} {result.abort_reason}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def test_golden_covers_every_registered_scenario():
     assert sorted(GOLDEN) == sorted(DEFAULT_REGISTRY.names())
+    assert sorted(RUNTIME_GOLDEN) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("scenario_name", sorted(GOLDEN))
@@ -49,7 +79,9 @@ def test_clock_bounds_match_golden(scenario_name):
         experiments=len(expected["experiments"]), seed=expected["seed"]
     )
     experiments = run_single_study(study).experiments
-    for result, pinned in zip(experiments, expected["experiments"], strict=True):
+    digests = RUNTIME_GOLDEN[scenario_name]
+    for result, pinned, digest in zip(experiments, expected["experiments"], digests, strict=True):
+        assert runtime_digest(result) == digest, (scenario_name, result.index)
         assert sorted(pinned) == sorted(result.hosts)
         together = estimate_all_bounds(
             result.sync_messages, result.hosts, result.reference_host

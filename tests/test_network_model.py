@@ -679,15 +679,21 @@ class TestEnvironmentBookkeeping:
         assert env.delivery_events == []
 
     def test_dead_target_recorded_as_structured_event(self):
-        env = self.make_env()
-        env.spawn(_Sender("sender", "ghost"), "hosta")
-        env.run()
-        events = env.delivery_events
-        assert len(events) == 1
-        assert events[0].kind == "dead-target"
-        assert events[0].source == "sender"
-        assert events[0].destination == "ghost"
-        assert events[0].time >= 0.0
+        # The target never existed, or it died while the message was in
+        # flight: either way the drop is recorded between process names.
+        for target, dies_at in (("ghost", None), ("sink", 50e-6)):
+            env = self.make_env()
+            if dies_at is not None:
+                sink = env.spawn(_Sink(target), "hostb")
+                env.kernel.schedule(dies_at, sink.crash)
+            env.spawn(_Sender("sender", target), "hosta")
+            env.run()
+            events = env.delivery_events
+            assert len(events) == 1, target
+            assert events[0].kind == "dead-target"
+            assert events[0].source == "sender"
+            assert events[0].destination == target
+            assert events[0].time >= (dies_at or 0.0)
 
     def test_partitioned_send_recorded_not_silently_dropped(self):
         env = self.make_env()

@@ -1,5 +1,8 @@
 """Integration tests of the runtime phase: daemons, designs, campaigns."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.apps.toggle import (
@@ -15,6 +18,7 @@ from repro.core.runtime.designs import CommunicationMode, DaemonPlacement, Runti
 from repro.core.specs.state_machine import RESERVED_EVENTS
 from repro.core.timeline import RecordKind
 from repro.errors import RuntimeConfigurationError
+from repro.sim.kernel import SimKernel
 
 
 def run_toggle(design=None, experiments=1, dwell=0.03, timeslice=0.002, seed=0):
@@ -121,6 +125,25 @@ class TestCampaignRunner:
         assert experiment.aborted
         assert experiment.abort_reason == "experiment timeout"
         assert not experiment.completed
+
+    def test_experiment_is_three_kernel_runs_and_no_steps(self):
+        # One run() per phase (pre-sync, experiment, post-sync): completion
+        # stops the kernel instead of the campaign stepping it event by event.
+        study = build_toggle_study("toggle", dwell_time=0.03, cycles=3, experiments=1)
+        watched = {SimKernel.run.__code__: "run", SimKernel.step.__code__: "step"}
+        entered = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                entered[watched[frame.f_code]] += 1
+
+        sys.setprofile(profile)
+        try:
+            experiment = CampaignRunner.run_experiment_of(study, 0)
+        finally:
+            sys.setprofile(None)
+        assert experiment.completed
+        assert entered == Counter(run=3)
 
     def test_timeline_header_includes_reserved_names(self):
         _, result = run_toggle()

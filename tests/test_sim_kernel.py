@@ -123,6 +123,21 @@ def test_run_max_events_limit():
     assert fired == [0, 1, 2]
 
 
+def test_stop_ends_the_run_before_the_next_event():
+    kernel = SimKernel()
+    fired = []
+    kernel.schedule(1.0, fired.append, 1)
+    kernel.schedule(2.0, kernel.stop)
+    kernel.schedule(3.0, fired.append, 3)
+    kernel.run(until=10.0)
+    assert fired == [1]
+    assert kernel.now == 2.0 and kernel.pending == 1
+    # The next run starts afresh, and a stop outside any run is forgotten.
+    kernel.stop()
+    kernel.run()
+    assert fired == [1, 3]
+
+
 def test_events_scheduled_during_run_are_processed():
     kernel = SimKernel()
     fired = []
