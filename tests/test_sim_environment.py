@@ -155,6 +155,29 @@ def test_host_clock_parameters_respected():
     assert env.host("hosta").clock.read(env.kernel.now) == pytest.approx(1.0 + 2.0 * 3.0)
 
 
+def test_run_until_condition():
+    # A process that meets the condition stops the kernel: run() returns
+    # there, with the next tick still pending.
+    env = make_env()
+    counter = []
+
+    class Ticker(SimProcess):
+        def start(self):
+            self.tick()
+
+        def tick(self):
+            counter.append(env.kernel.now)
+            if len(counter) == 5:
+                env.kernel.stop()
+            self.set_timer(0.1, self.tick)
+
+    env.spawn(Ticker("tick"), "hosta")
+    env.run(until=10.0)
+    assert len(counter) == 5
+    assert env.kernel.now == pytest.approx(0.4)
+    assert env.kernel.pending == 1
+
+
 def test_endpoint_format():
     env = make_env()
     process = Echo("proc")

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.errors import RuntimeConfigurationError
+from repro.sim.clock import ClockParameters
+from repro.sim.environment import Environment
 from repro.sim.host import Host, SchedulerConfig
 from repro.sim.kernel import SimKernel
 from repro.sim.network import IPC_PROFILE, LAN_TCP_PROFILE, LinkProfile, NetworkModel
+from repro.sim.process import SimProcess
 from repro.sim.rng import RandomStreams
 
 
@@ -124,6 +127,26 @@ class TestHost:
     def make_host(self, **scheduler_kwargs):
         scheduler = SchedulerConfig(**scheduler_kwargs) if scheduler_kwargs else None
         return Host("hosta", RandomStreams(5), scheduler=scheduler)
+
+    def test_read_clock_uses_kernel_time(self):
+        # A process reads its host's clock at the kernel's current time.
+        env = Environment(seed=0)
+        host = env.add_host("h", clock=ClockParameters(offset=0.5, rate=1.0))
+        process = env.spawn(SimProcess("p"), "h")
+        env.kernel.advance_to(2.0)
+        assert process.local_clock() == host.clock.read(2.0) == pytest.approx(2.5)
+
+    def test_duplicate_process_name_rejected(self):
+        # The rejected duplicate is never placed; the first keeps its host.
+        env = Environment(seed=0)
+        env.add_host("h")
+        first = env.spawn(SimProcess("p"), "h")
+        duplicate = SimProcess("p")
+        with pytest.raises(RuntimeConfigurationError):
+            env.spawn(duplicate, "h")
+        assert duplicate.alive is False
+        assert env.process("p") is first
+        assert first.host is env.host("h")
 
     def test_scheduling_delay_bounded_by_timeslices(self):
         host = self.make_host(timeslice=0.010, context_switch_cost=50e-6,
