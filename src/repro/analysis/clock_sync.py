@@ -295,17 +295,20 @@ def select_reference_host(clock_rates: Mapping[str, float]) -> str:
 
 def _min_envelope(
     slopes: np.ndarray, intercepts: np.ndarray
-) -> tuple[list[tuple[float, float]], list[float]]:
+) -> tuple[list[tuple[float, float]], list[float], list[int]]:
     """The lower (minimum) envelope of a family of lines, given as columns.
 
-    Returns the active lines in order of increasing ``beta`` together with
-    the breakpoints where activity changes hands.  The minimum of lines is
-    concave, so the active slope strictly decreases along ``beta``: the
-    lines are ordered by ``(-slope, intercept)``, only the first (smallest
-    intercept) of each equal-slope run can ever be minimal — which drops
-    duplicated messages too — and the standard monotone-hull sweep runs
-    over what is left, O(n log n) overall.  The maximum envelope of lower
-    lines is this same sweep over the negated lines, negated back.
+    Returns the active lines in order of increasing ``beta``, the
+    breakpoints where activity changes hands, and each active line's index
+    in the input columns.  The minimum of lines is concave, so the active
+    slope strictly decreases along ``beta``: the lines are ordered (stably)
+    by ``(-slope, intercept)``, only the first (smallest intercept) of each
+    equal-slope run can ever be minimal — which drops duplicated messages
+    too — and the standard monotone-hull sweep runs over what is left,
+    O(n log n) overall.  Re-run on just its active lines, the sweep meets
+    each with the same predecessor and so returns the same hull and cuts
+    bit for bit.  The maximum envelope of lower lines is this same sweep
+    over the negated lines, negated back.
     """
     order = np.lexsort((intercepts, -slopes))
     slopes, intercepts = slopes[order], intercepts[order]
@@ -313,8 +316,11 @@ def _min_envelope(
     first_of_run[1:] = slopes[1:] != slopes[:-1]
     hull: list[tuple[float, float]] = []
     cuts: list[float] = []
-    for slope, intercept in zip(
-        slopes[first_of_run].tolist(), intercepts[first_of_run].tolist()
+    rows: list[int] = []
+    for slope, intercept, row in zip(
+        slopes[first_of_run].tolist(),
+        intercepts[first_of_run].tolist(),
+        order[first_of_run].tolist(),
     ):
         # Pop every line the new one overtakes before its predecessor's
         # breakpoint; the hull never empties that way (a cut needs two lines).
@@ -324,11 +330,13 @@ def _min_envelope(
             if cuts and crossing <= cuts[-1]:
                 hull.pop()
                 cuts.pop()
+                rows.pop()
                 continue
             cuts.append(crossing)
             break
         hull.append((slope, intercept))
-    return hull, cuts
+        rows.append(row)
+    return hull, cuts, rows
 
 
 def _envelope_value(
@@ -391,8 +399,8 @@ def _solve_lines(
             "flow in both directions before and after the experiment"
         )
 
-    upper_hull, upper_cuts = _min_envelope(-upper_send, upper_receive)
-    negated_hull, lower_cuts = _min_envelope(lower_receive, -lower_send)
+    upper_hull, upper_cuts, _ = _min_envelope(-upper_send, upper_receive)
+    negated_hull, lower_cuts, _ = _min_envelope(lower_receive, -lower_send)
     lower_hull = [(-slope, -intercept) for slope, intercept in negated_hull]
 
     def upper_at(beta: float) -> float:
@@ -529,6 +537,43 @@ def estimate_all_bounds(
             upper_send, receive_time[upper], lower_send, receive_time[lower], machine
         )
     return bounds
+
+
+def envelope_rows(
+    messages: Iterable[SyncMessageRecord],
+    machines: Iterable[str],
+    reference: str,
+) -> SyncTable:
+    """The messages on some machine's upper or lower envelope, in table order.
+
+    :func:`estimate_all_bounds` reads a machine's messages only through the
+    hulls and cuts of its two envelopes, which :func:`_min_envelope`
+    reproduces bit for bit from their own lines.  So for the same
+    ``machines`` and ``reference`` the kept table gives the whole table's
+    bounds and vertices (or its very error), and keeping is idempotent.
+    Of duplicate or equal-slope lines the first in ``lexsort`` order is
+    kept; the host pool is kept whole, so every code keeps its meaning.
+    """
+    table = SyncTable.of(messages)
+    sender = np.asarray(table.sender)
+    receiver = np.asarray(table.receiver)
+    send_time = np.asarray(table.send_time)
+    receive_time = np.asarray(table.receive_time)
+    reference_code = table.code(reference)
+    from_reference = sender == reference_code
+    to_reference = receiver == reference_code
+    keep = np.zeros(len(table), dtype=bool)
+    for machine in machines:
+        if machine == reference:
+            continue
+        code = table.code(machine)
+        upper = np.flatnonzero(from_reference & (receiver == code))
+        lower = np.flatnonzero(to_reference & (sender == code))
+        keep[upper[_min_envelope(-send_time[upper], receive_time[upper])[2]]] = True
+        keep[lower[_min_envelope(receive_time[lower], -send_time[lower])[2]]] = True
+    return SyncTable(
+        list(table.hosts), sender[keep], receiver[keep], send_time[keep], receive_time[keep]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.analysis.clock_sync import SyncTable
+from repro.analysis.clock_sync import SyncTable, select_reference_host
 from repro.core.runtime.context import (
     ExperimentContext,
     NodeDefinition,
@@ -290,8 +290,8 @@ class CampaignRunner:
             network=study.network,
         )
         clock_parameters = self._build_hosts(environment, study, seed)
-        reference = max(
-            sorted(clock_parameters), key=lambda host: clock_parameters[host].rate
+        reference = select_reference_host(
+            {host: clock.rate for host, clock in clock_parameters.items()}
         )
 
         context = ExperimentContext(

@@ -89,11 +89,12 @@ ProgressCallback = Callable[[str, int, int], None]
 
 #: Callback signature for completion sinks: ``(study_index, experiment_index,
 #: value)``, invoked in the coordinating process for every finished task as
-#: it completes — before progress is reported — on every backend.  This is
-#: the seam the campaign store streams through: each completed experiment is
-#: persisted (and its raw payload released) the moment it arrives, instead
-#: of accumulating until the campaign ends.
-CompletionSink = Callable[[int, int, object], None]
+#: it completes — before progress is reported — on every backend; what it
+#: returns is what the task's slot keeps.  This is the seam the campaign
+#: store streams through: each completed experiment is persisted (and its
+#: raw payload released) the moment it arrives, instead of accumulating
+#: until the campaign ends.
+CompletionSink = Callable[[int, int, object], object]
 
 
 def available_backends() -> tuple[str, ...]:
@@ -324,11 +325,15 @@ class ExperimentExecutor:
         With a ``store``, every completed experiment is streamed to disk as
         it finishes, and experiments whose records already exist (matching
         configuration fingerprint and seed) are loaded instead of re-run.
+        Either way a stored experiment comes back as the store archived it
+        (sync rows on the clock envelopes only, see
+        :meth:`~repro.store.CampaignStore.append`), so a fresh and a
+        resumed run return equal results.
         """
         from repro.core.campaign import CampaignResult, StudyResult
 
-        def sink(study_index: int, experiment_index: int, result) -> None:
-            store.append(result)
+        def sink(study_index: int, experiment_index: int, result):
+            return store.append(result)
 
         slots, cached = self._run(campaign, _runtime_task, runner_class, store, sink)
         for (study_index, experiment_index), result in cached.items():
@@ -364,7 +369,8 @@ class ExperimentExecutor:
           for them — and the rest execute normally;
         * every freshly completed experiment's raw payload is appended to
           the store the moment it reaches the coordinator, then released
-          (unless ``keep_raw_results``), so memory stays flat while the
+          (unless ``keep_raw_results``, which keeps the payload as archived,
+          exactly what a resume would load), so memory stays flat while the
           disk accumulates the run-once/analyze-many archive.
 
         Workers keep their raw payloads only when a store needs them; the
@@ -382,9 +388,10 @@ class ExperimentExecutor:
                     analyzed.result, local_timelines={}, sync_messages=SyncTable()
                 )
 
-        def sink(study_index: int, experiment_index: int, analyzed) -> None:
-            store.append(analyzed.result)
+        def sink(study_index: int, experiment_index: int, analyzed):
+            analyzed.result = store.append(analyzed.result)
             slim(analyzed)
+            return analyzed
 
         # With a store, workers must keep raw payloads so the coordinator
         # can persist them; the sink above re-applies the configured slimming.
@@ -467,10 +474,11 @@ class ExperimentExecutor:
         """Slot streamed completions into per-study index-ordered lists.
 
         ``sink`` is invoked for every completion as it arrives (before the
-        progress callback) — the streaming seam the campaign store writes
-        through.  ``done_offsets`` pre-counts experiments satisfied from
-        the store so progress reports completed-of-total over the whole
-        study, not just the freshly executed remainder.
+        progress callback), and the slot keeps what it returns — the
+        streaming seam the campaign store writes through.
+        ``done_offsets`` pre-counts experiments satisfied from the store so
+        progress reports completed-of-total over the whole study, not just
+        the freshly executed remainder.
 
         The slots of the tasks that ran come back without holes: a
         completion stream (:meth:`_completions`) yields every task exactly
@@ -481,9 +489,9 @@ class ExperimentExecutor:
         done = list(done_offsets) if done_offsets is not None else [0] * len(campaign.studies)
         progress = self.config.progress
         for study_index, experiment_index, value in completions:
-            slots[study_index][experiment_index] = value
             if sink is not None:
-                sink(study_index, experiment_index, value)
+                value = sink(study_index, experiment_index, value)
+            slots[study_index][experiment_index] = value
             done[study_index] += 1
             if progress is not None:
                 study = campaign.studies[study_index]

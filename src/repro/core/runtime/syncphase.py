@@ -8,16 +8,29 @@ after* the experiment is what makes the drift (``beta``) bounds tight.
 
 The messages are kept outside the experiment itself so they do not intrude
 on the application (the paper's ``getstamps`` tool runs separately from the
-system under study).
+system under study).  Nothing else in the simulator touches them either,
+so a phase's table is computed in closed form rather than played out as
+kernel events: the exchanges run in a stable sort of their send times (the
+kernel's ``(time, seq)`` order), each draws one LAN delay from the
+``"sync-phase"`` stream in that order plus the receiver's context switch
+(the receiving ``getstamps`` process is blocked waiting for it), and rows
+follow in (arrival, exchange) order.  A message arriving after the phase
+is posted to the kernel as its row's append, as its reception would be.
+One order differs from a played-out exchange: a previous phase's message
+still in flight when a phase starts (a LAN delay beyond the 10 ms tail and
+an experiment shorter than it) is appended after this phase's rows rather
+than among them — the same rows, so the same clock bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+
+import numpy as np
 
 from repro.analysis.clock_sync import SyncTable
 from repro.sim.environment import Environment
-from repro.sim.host import Host
 
 
 @dataclass(frozen=True)
@@ -31,17 +44,10 @@ class SyncPhaseConfig:
         the reference host and every other host.
     interval:
         Spacing between successive message pairs, in seconds.
-    dedicated_receiver:
-        When true (the default), the receiving timestamp process is assumed
-        to be blocked waiting for the message and wakes up after only a
-        context switch, as the paper's ``getstamps`` tool does; when false,
-        the full OS scheduling delay of a busy host is charged, which
-        widens the resulting clock bounds considerably.
     """
 
     messages_per_phase: int = 25
     interval: float = 0.001
-    dedicated_receiver: bool = True
 
 
 def run_sync_phase(
@@ -55,45 +61,59 @@ def run_sync_phase(
 
     Each reception appends one row to ``table`` (a fresh one by default; the
     closing mini-phase of an experiment passes the opening one's, so the
-    experiment ends with a single table).  The exchange is simulated
-    directly on the network/host models (no Loki processes are involved):
+    experiment ends with a single table).  No Loki process is involved:
     each message records the sender's clock at transmission and the
     receiver's clock at reception, after the sampled LAN delay plus the
-    receiver's OS scheduling delay — exactly the quantities a real
-    ``getstamps`` run would log.
+    receiver's context switch — exactly the quantities a real
+    ``getstamps`` run would log.  The kernel then runs to the end of the
+    phase, so application events still pending after an experiment fire
+    as they always did.
     """
     config = config or SyncPhaseConfig()
     records = SyncTable() if table is None else table
     kernel = environment.kernel
-    hosts_by_name = environment.hosts
-    lan = environment.lan_profile
-    rng = environment.streams.stream("sync-phase")
-
-    # Nothing cancels these events, so they are posted (no handles) at the
-    # absolute times ``schedule(delay)`` would compute: ``now + delay``.
-    def exchange(sender: str, receiver: str) -> None:
-        now = kernel.now
-        send_clock = hosts_by_name[sender].clock.read(now)
-        receiver_host = hosts_by_name[receiver]
-        if config.dedicated_receiver:
-            wakeup = receiver_host.scheduler.context_switch_cost
-        else:
-            wakeup = receiver_host.scheduling_delay()
-        delay = lan.sample_delay(rng) + wakeup
-        kernel.post_at(now + delay, record_reception, sender, receiver_host, send_clock)
-
-    def record_reception(sender: str, receiver: Host, send_clock: float) -> None:
-        receive_clock = receiver.clock.read(kernel.now)
-        records.append(sender, receiver.name, send_clock, receive_clock)
-
     start = kernel.now
-    others = [host for host in hosts if host != reference]
+    interval = config.interval
+    phase_end = start + config.messages_per_phase * interval + 0.010
+    # Host codes local to this phase: 0 is the reference.
+    names = [reference] + [host for host in hosts if host != reference]
+    machines = [environment.hosts[name] for name in names]
+    exchanges: list[tuple[float, int, int]] = []
     for round_index in range(config.messages_per_phase):
-        when = round_index * config.interval
-        for host in others:
-            kernel.post_at(start + when, exchange, reference, host)
-            kernel.post_at(start + (when + config.interval / 2.0), exchange, host, reference)
-
-    phase_end = start + config.messages_per_phase * config.interval + 0.010
+        when = round_index * interval
+        for code in range(1, len(names)):
+            exchanges.append((start + when, 0, code))
+            exchanges.append((start + (when + interval / 2.0), code, 0))
+    if exchanges:
+        exchanges.sort(key=itemgetter(0))
+        sample_delay = environment.lan_profile.sample_delay
+        rng = environment.streams.stream("sync-phase")
+        wakeup = [machine.scheduler.context_switch_cost for machine in machines]
+        sent, sender, receiver = zip(*exchanges)
+        delay = [sample_delay(rng) + wakeup[code] for code in receiver]
+        sent, sender, receiver = map(np.array, (sent, sender, receiver))
+        arrival = sent + delay
+        rows = np.argsort(arrival, kind="stable")
+        sent, sender, receiver, arrival = sent[rows], sender[rows], receiver[rows], arrival[rows]
+        send_clock, receive_clock = np.empty_like(sent), np.empty_like(arrival)
+        for code, machine in enumerate(machines):
+            mask = sender == code
+            send_clock[mask] = machine.clock.read(sent[mask])
+            mask = receiver == code
+            receive_clock[mask] = machine.clock.read(arrival[mask])
+        landed = int(np.searchsorted(arrival, phase_end, side="right"))
+        # Append the landed rows at once, hosts joining the pool in
+        # first-use order (sender before receiver) as ``append`` has them.
+        pool = records.hosts
+        used = np.column_stack((sender[:landed], receiver[:landed])).ravel().tolist()
+        pool += [name for name in dict.fromkeys(map(names.__getitem__, used)) if name not in pool]
+        codes = np.array([pool.index(name) if name in pool else -1 for name in names])
+        records.sender.extend(codes[sender[:landed]].tolist())
+        records.receiver.extend(codes[receiver[:landed]].tolist())
+        records.send_time.extend(send_clock[:landed].tolist())
+        records.receive_time.extend(receive_clock[:landed].tolist())
+        for row in range(landed, len(rows)):
+            late = names[sender[row]], names[receiver[row]], send_clock[row], receive_clock[row]
+            kernel.post_at(float(arrival[row]), records.append, *late)
     kernel.run(until=phase_end)
     return records

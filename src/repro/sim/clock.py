@@ -68,7 +68,11 @@ class HardwareClock:
         return self._parameters.offset
 
     def read(self, physical_time: float) -> float:
-        """Return the clock value at the given physical time."""
+        """Return the clock value at the given physical time.
+
+        A numpy array of times reads elementwise, each value bit-identical
+        to its scalar read (the sync phase reads whole columns at once).
+        """
         value = self._parameters.offset + self._parameters.rate * physical_time
         granularity = self._parameters.granularity
         if granularity > 0:

@@ -27,17 +27,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from repro.errors import RuntimeConfigurationError
 from repro.sim.kernel import SimKernel
-from repro.sim.rng import BlockUniformSource, RandomStream, RandomStreams
+from repro.sim.rng import RandomStream, RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (topology imports LinkProfile)
     from repro.sim.topology import LinkState, NetworkFaultSpec, Partition, Topology
-
-
-#: How many uniform variates the delivery engine pre-draws from the
-#: ``"network"`` stream per refill.  Any chunking produces the same
-#: variates in the same order (see :mod:`repro.sim.rng`), so the value
-#: affects throughput only.
-DEFAULT_DRAW_CHUNK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,23 +59,18 @@ class LinkProfile:
             raise RuntimeConfigurationError("loss probability must be within [0, 1]")
 
     def sample_delay(self, rng: RandomStream) -> float:
-        """Draw one one-way delay from this profile."""
-        if self.jitter_mean > 0:
-            return self.delay_from_uniform(rng.random())
-        return self.base_delay
+        """Draw one one-way delay from this profile.
 
-    def delay_from_uniform(self, u: float) -> float:
-        """The delay a jittered profile produces from one uniform variate.
-
-        This is ``base_delay + expovariate(1.0 / jitter_mean)`` with the
-        variate made explicit, replicating ``random.expovariate`` operation
-        by operation (``-log(1 - u) / lambd`` with ``lambd`` computed as
-        the reciprocal first) so pre-drawn and per-call variates yield
-        bit-identical delays.  Only meaningful when ``jitter_mean > 0`` —
-        callers must branch on that *before* consuming a variate, because
-        jitter-free profiles draw nothing.
+        A jittered profile draws one ``rng.random()`` and returns
+        ``base_delay + expovariate(1.0 / jitter_mean)`` computed as
+        ``random.expovariate`` does it, operation by operation
+        (``-log(1 - u) / lambd`` with ``lambd`` the reciprocal), the same
+        arithmetic :meth:`NetworkModel.send` applies inline.  A jitter-free
+        profile draws nothing.
         """
-        return self.base_delay + -log(1.0 - u) / (1.0 / self.jitter_mean)
+        if self.jitter_mean > 0:
+            return self.base_delay + -log(1.0 - rng.random()) / (1.0 / self.jitter_mean)
+        return self.base_delay
 
 
 #: Shared-memory / semaphore hop between two processes on the same host.
@@ -201,19 +189,8 @@ class NetworkModel:
             topology = Topology(ipc_profile=ipc_profile, default_profile=default_profile)
         self._host_of = host_of
         self._kernel = kernel
-        self._rng = streams.stream("network")
-        # The engine owns the "network" stream exclusively, so it may
-        # pre-draw uniform variates in chunks without perturbing anyone
-        # else; the source hands them out in exactly ``random()`` order.
-        source = BlockUniformSource(self._rng, DEFAULT_DRAW_CHUNK)
-        self._next_u = source.next
-        # The jitter draw happens once per delivered message, so it skips
-        # even the source's ``next`` frame: ``_draw_u`` is the C-level
-        # ``pop`` of the source's stable buffer, refilled in place on
-        # IndexError via ``_refill_u``.  It consumes the same underlying
-        # double sequence as ``_next_u``, in the same order.
-        self._draw_u = source.buffer.pop
-        self._refill_u = source.refill
+        # Every draw is the "network" stream's own C-level ``random()``.
+        self._random = streams.stream("network").random
         self._topology = topology
         # Resolved routes per endpoint pair: host_of is a pure function of
         # the endpoint string and links are stable objects mutated in
@@ -538,23 +515,18 @@ class NetworkModel:
         # reorder check, reorder offset, duplicate check, duplicate
         # jitter) — the delay and offset math replicates
         # expovariate/uniform operation by operation (see
-        # LinkProfile.delay_from_uniform), so the outcomes are the ones
+        # LinkProfile.sample_delay), so the outcomes are the ones
         # ``Random.expovariate``/``uniform`` calls at these points would
         # give (pinned by ``tests/data/network_batched_golden.json``).
         profile = link.profile
-        next_u = self._next_u
-        if profile.loss_probability > 0 and next_u() < profile.loss_probability:
+        random = self._random
+        if profile.loss_probability > 0 and random() < profile.loss_probability:
             self.messages_dropped += 1
             self.record_event("lost", source, destination, detail=link.name)
             return message
         jitter_mean = profile.jitter_mean
         if jitter_mean > 0:
-            try:
-                u = self._draw_u()
-            except IndexError:  # block ran dry; refill it in place
-                self._refill_u()
-                u = self._draw_u()
-            delay = profile.base_delay + -log(1.0 - u) / (1.0 / jitter_mean)
+            delay = profile.base_delay + -log(1.0 - random()) / (1.0 / jitter_mean)
         else:
             delay = profile.base_delay
         # TCP (and the shared-memory IPC queue) deliver in order per
@@ -565,8 +537,8 @@ class NetworkModel:
         # link deliberately breaks that guarantee: the reordered message
         # skips the floor (and leaves it untouched) so later messages can
         # overtake it.
-        if link.reorder_probability > 0 and next_u() < link.reorder_probability:
-            arrival = now + delay + (0.0 + (link.reorder_window - 0.0) * next_u())
+        if link.reorder_probability > 0 and random() < link.reorder_probability:
+            arrival = now + delay + (0.0 + (link.reorder_window - 0.0) * random())
             self.messages_reordered += 1
             self.record_event("reordered", source, destination, detail=link.name)
         else:
@@ -581,10 +553,10 @@ class NetworkModel:
         # bookkeeping trampoline between the kernel and the receiver.
         self.messages_delivered += 1
         self._post_at(arrival, deliver, message)
-        if link.duplicate_probability > 0 and next_u() < link.duplicate_probability:
+        if link.duplicate_probability > 0 and random() < link.duplicate_probability:
             if jitter_mean > 0:
                 duplicate_delay = (
-                    profile.base_delay + -log(1.0 - next_u()) / (1.0 / jitter_mean)
+                    profile.base_delay + -log(1.0 - random()) / (1.0 / jitter_mean)
                 )
             else:
                 duplicate_delay = profile.base_delay

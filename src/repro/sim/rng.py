@@ -12,11 +12,6 @@ from __future__ import annotations
 import hashlib
 import random
 
-try:  # numpy accelerates block draws; the pure-python fallback is bit-identical
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None  # type: ignore[assignment]
-
 
 #: The type of one named stream.  Deterministic modules annotate injected
 #: streams with this alias instead of importing :mod:`random` themselves —
@@ -68,76 +63,3 @@ class RandomStreams:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RandomStreams(seed={self._seed}, streams={sorted(self._streams)})"
 
-
-# ---------------------------------------------------------------------------
-# The uniform-variate source: RNG-order-preserving blocks
-# ---------------------------------------------------------------------------
-#
-# Every distribution the substrate samples on its hot paths reduces to a
-# sequence of ``Random.random()`` calls: ``expovariate(lambd)`` is
-# ``-log(1 - random()) / lambd`` and ``uniform(a, b)`` is
-# ``a + (b - a) * random()`` (CPython's own implementations).  The source
-# exposes exactly that underlying double sequence, pre-drawn in chunks
-# without changing which variate feeds which decision — the consumption
-# order, and hence every simulated outcome, is bit-identical to calling
-# ``random()`` at each point of use.
-
-
-class BlockUniformSource:
-    """Uniform doubles pre-drawn from the wrapped stream in fixed chunks.
-
-    Refilling transplants the stream's Mersenne-Twister state into a numpy
-    ``RandomState`` (the two share the generator *and* the 53-bit double
-    construction), vectorizes one ``random_sample(chunk)`` call, and writes
-    the advanced state back — so the block holds exactly the doubles the
-    wrapped stream would have produced, and the stream continues past the
-    block seamlessly.  Without numpy the refill falls back to ``chunk``
-    plain ``random()`` calls — the reference the transplant is tested
-    against.
-
-    The wrapped stream must not be drawn from by anyone else while a block
-    is outstanding: its state is already advanced past the block's end.
-    The delivery engine owns its ``"network"`` stream exclusively, which is
-    what makes the pre-draw transparent there (pinned by the batched-
-    delivery golden test).
-    """
-
-    __slots__ = ("_rng", "_chunk", "buffer")
-
-    def __init__(self, rng: random.Random, chunk: int) -> None:
-        if chunk < 2:
-            raise ValueError("block sizes below 2 defeat pre-drawing")
-        self._rng = rng
-        self._chunk = chunk
-        #: The outstanding block, stored reversed so :meth:`next` is a
-        #: C-level ``list.pop`` from the end, which still hands the
-        #: doubles out in draw order.  The list object is *stable* —
-        #: :meth:`refill` mutates it in place — so hot consumers may bind
-        #: ``buffer.pop`` once, call it directly, and :meth:`refill` on
-        #: the resulting ``IndexError`` when the block runs dry.
-        self.buffer: list[float] = []
-
-    def next(self) -> float:
-        """The next uniform double in [0, 1) from the pre-drawn block."""
-        block = self.buffer
-        if not block:
-            self.refill()
-        return block.pop()
-
-    def refill(self) -> None:
-        """Pre-draw the next chunk into :attr:`buffer` (in place)."""
-        if _np is None:
-            block = [self._rng.random() for _ in range(self._chunk)]
-        else:
-            version, internal, gauss_next = self._rng.getstate()
-            transplant = _np.random.RandomState()
-            transplant.set_state(
-                ("MT19937", _np.array(internal[:-1], dtype=_np.uint32), internal[-1])
-            )
-            block = transplant.random_sample(self._chunk).tolist()
-            advanced = transplant.get_state()
-            self._rng.setstate(
-                (version, tuple(map(int, advanced[1])) + (int(advanced[2]),), gauss_next)
-            )
-        block.reverse()
-        self.buffer[:] = block

@@ -23,13 +23,14 @@ Three workflows hang off the class:
   attaches the store to the execution engine; the engine streams each
   completed experiment's payload into :meth:`append` as it finishes (on the
   serial and process-pool backends alike) instead of accumulating raw
-  payloads in memory.
+  payloads in memory.  Of the synchronization messages only those on a
+  clock envelope are archived — all the analysis phase ever reads.
 * **Resuming.**  On attach, experiments whose records already exist with
   matching configuration fingerprint and per-experiment seed are loaded
   from disk and *skipped* by the runtime phase; only the missing ones run.
   Because record round trips are bit-exact and analysis is a pure function
-  of the payload, a resumed campaign's measures are bit-identical to an
-  uninterrupted run's.
+  of the archived payload, a resumed campaign's measures are bit-identical
+  to an uninterrupted run's.
 * **Re-analysis.**  :meth:`load_results` / :meth:`load_analysis` rebuild
   campaign results straight from disk — zero simulator invocations — so
   measure-phase iteration costs seconds, not campaign-hours.
@@ -45,10 +46,11 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping
 
+from repro.analysis.clock_sync import envelope_rows
 from repro.core.campaign import CampaignConfig, ExperimentResult
 from repro.errors import StoreError, StoreIntegrityError
 from repro.store.columnar import MAGIC_LINE, encode_block, scan_blocks
@@ -221,8 +223,15 @@ class CampaignStore:
 
     # -- writing -----------------------------------------------------------------------
 
-    def append(self, result: ExperimentResult) -> None:
+    def append(self, result: ExperimentResult) -> ExperimentResult:
         """Append one completed experiment's record via the store's codec.
+
+        Of the synchronization messages only those on some machine's clock
+        envelope are archived (:func:`~repro.analysis.clock_sync.envelope_rows`):
+        the analysis phase reads nothing else, so the stored record
+        analyses bit-identically to ``result``.  Returns the archived
+        result — ``result`` with that pruned table, equal to what loading
+        the record gives back.
 
         Either codec writes whole self-checksummed records, so concurrent
         readers always see a prefix of valid records and a killed writer
@@ -233,9 +242,15 @@ class CampaignStore:
                 f"experiment {result.study}:{result.index} carries no raw payload "
                 "(was it slimmed before reaching the store?)"
             )
+        result = replace(
+            result,
+            sync_messages=envelope_rows(
+                result.sync_messages, result.hosts, result.reference_host
+            ),
+        )
         if self._codec == "columnar":
             self._append_columnar(result)
-            return
+            return result
         path = self.records_path(result.study)
         path.parent.mkdir(parents=True, exist_ok=True)
         line = encode_record(result) + "\n"
@@ -252,6 +267,7 @@ class CampaignStore:
             handle.flush()
             if self._fsync:
                 os.fsync(handle.fileno())
+        return result
 
     def _append_columnar(self, result: ExperimentResult) -> None:
         path = self.columnar_path(result.study)

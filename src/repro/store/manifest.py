@@ -101,7 +101,10 @@ def study_description(study: StudyConfig) -> dict[str, Any]:
         "design": repr(study.design),
         "restart_policy": repr(study.restart_policy),
         "watchdog": repr(study.watchdog),
-        "sync": repr(study.sync),
+        # The text ``repr(study.sync)`` had while the config also carried
+        # a ``dedicated_receiver`` flag, always true, so archives written
+        # then stay resumable.
+        "sync": repr(study.sync)[:-1] + ", dedicated_receiver=True)",
         "default_scheduler": repr(study.default_scheduler),
         "clock_generation": repr(study.clock_generation),
         "ipc_profile": repr(study.ipc_profile),

@@ -158,8 +158,11 @@ def check_envelope_matches_tuple_sweep(seed: int, count: int) -> None:
         for _ in range(count)
     ]
     intercepts = [rng.choice((-1.0, 0.0, 0.125, rng.uniform(-1, 1))) for _ in range(count)]
-    hull, cuts = _min_envelope(np.array(slopes), np.array(intercepts))
+    hull, cuts, rows = _min_envelope(np.array(slopes), np.array(intercepts))
     assert (hull, cuts) == reference_min_envelope(list(zip(slopes, intercepts)))
+    # Each active line comes with the input index of its first copy.
+    lines = list(zip(slopes, intercepts))
+    assert rows == [lines.index(line) for line in hull]
 
 
 def with_other_named(messages: list[SyncMessageRecord], name: str) -> list[SyncMessageRecord]:
@@ -261,9 +264,10 @@ class TestColumnarInputSide:
 
     def test_signed_zero_slopes_are_one_run(self):
         # 0.0 and -0.0 are the same slope: one line survives, the lower one.
-        hull, cuts = _min_envelope(np.array([0.0, -0.0, 1.0]), np.array([2.0, 1.0, 0.0]))
+        hull, cuts, rows = _min_envelope(np.array([0.0, -0.0, 1.0]), np.array([2.0, 1.0, 0.0]))
         assert (hull, cuts) == reference_min_envelope([(0.0, 2.0), (-0.0, 1.0), (1.0, 0.0)])
         assert hull == [(1.0, 0.0), (0.0, 1.0)]
+        assert rows == [2, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,10 @@ indistinguishable from the JSONL one at every observable level:
   stored record, proving the *stores* (not just the in-memory analyses)
   hold identical data whatever codec framed it.
 
-That the delivery engine's block pre-draw reproduces per-call
-``random()`` draws is pinned from disk by
-``tests/data/network_batched_golden.json`` (see
-``test_network_equivalence_golden.py``) and at the source by
-``test_sim_clock_rng.py::TestBlockUniformSource``; cross-backend identity
-is covered elsewhere.
+That the delivery engine's draws are the ones it always made is pinned
+from disk by ``tests/data/network_batched_golden.json`` (see
+``test_network_equivalence_golden.py``); cross-backend identity is
+covered elsewhere.
 """
 
 from __future__ import annotations

@@ -25,6 +25,8 @@ from repro.pipeline import run_and_analyze
 from repro.scenarios import DEFAULT_REGISTRY
 from repro.store import CampaignStore
 
+from test_clock_bounds_golden import pin
+
 ARCHIVE = Path(__file__).parent / "data" / "parent_archive"
 EXPECTED = json.loads((ARCHIVE / "expected.json").read_text(encoding="utf-8"))
 
@@ -36,16 +38,6 @@ def parent_campaign():
         seed=41,
         campaign_name="parent-archive",
     )
-
-
-def pin(bounds) -> dict:
-    return {
-        "alpha_lower": bounds.alpha_lower.hex(),
-        "alpha_upper": bounds.alpha_upper.hex(),
-        "beta_lower": bounds.beta_lower.hex(),
-        "beta_upper": bounds.beta_upper.hex(),
-        "vertices": [[alpha.hex(), beta.hex()] for alpha, beta in bounds.vertices],
-    }
 
 
 def assert_matches_expected(analysis) -> None:

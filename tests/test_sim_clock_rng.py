@@ -1,11 +1,13 @@
 """Unit tests for hardware clocks and deterministic random streams."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.errors import RuntimeConfigurationError
 from repro.sim.clock import ClockParameters, HardwareClock
-import repro.sim.rng
-from repro.sim.rng import BlockUniformSource, RandomStreams
+from repro.sim.rng import RandomStreams
 
 
 class TestClockParameters:
@@ -58,6 +60,19 @@ class TestHardwareClock:
         for t in (0.0, 3.7, 100.0):
             assert other.read(t) == pytest.approx(alpha + beta * reference.read(t))
 
+    @pytest.mark.parametrize("granularity", [0.0, 1e-6, 0.010])
+    def test_array_reads_equal_scalar_reads_bitwise(self, granularity):
+        # The sync phase reads a whole column of instants in one call.
+        rng = random.Random(granularity)
+        times = [rng.uniform(0.0, 50.0) for _ in range(5000)]
+        clock = HardwareClock(
+            ClockParameters(offset=-0.0123, rate=1.0000437, granularity=granularity)
+        )
+        column = clock.read(np.array(times))
+        assert [value.hex() for value in column.tolist()] == [
+            clock.read(time).hex() for time in times
+        ]
+
     def test_relative_to_self_is_identity(self):
         clock = HardwareClock(ClockParameters(offset=0.25, rate=1.00005))
         alpha, beta = clock.relative_to(clock)
@@ -95,30 +110,3 @@ class TestRandomStreams:
     def test_seed_property(self):
         assert RandomStreams(123).seed == 123
 
-
-class TestBlockUniformSource:
-    """Pre-drawn blocks are the wrapped stream's own ``random()`` sequence."""
-
-    def test_blocks_hand_out_the_raw_random_sequence(self):
-        # A fresh same-seed stream is the per-call reference.  The chunk
-        # is deliberately misaligned with the number of draws, so refills
-        # land mid-run and a skipped or repeated draw cannot hide.
-        source = BlockUniformSource(RandomStreams(5).stream("network"), 7)
-        replay = RandomStreams(5).stream("network")
-        expected = [replay.random() for _ in range(101)]
-        assert [source.next() for _ in range(100)] == expected[:100]
-        assert source.next() == expected[100]
-
-    def test_numpy_transplant_equals_pure_python_refill(self, monkeypatch):
-        fast = BlockUniformSource(RandomStreams(3).stream("network"), 64)
-        fast.refill()
-        fast_state = fast._rng.getstate()
-        monkeypatch.setattr(repro.sim.rng, "_np", None)
-        plain = BlockUniformSource(RandomStreams(3).stream("network"), 64)
-        plain.refill()
-        assert fast.buffer == plain.buffer
-        assert fast_state == plain._rng.getstate()
-
-    def test_rejects_blocks_too_small_to_pre_draw(self):
-        with pytest.raises(ValueError):
-            BlockUniformSource(RandomStreams(1).stream("network"), 1)

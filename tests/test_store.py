@@ -418,6 +418,29 @@ class TestStoreBackedRuns:
         )
         assert analysis.study("alpha").experiments[0].result.local_timelines
 
+    def test_fresh_and_resumed_runs_return_the_archived_payload(self, tmp_path):
+        # With a store attached, a kept raw payload is the archived one
+        # (sync rows on the clock envelopes only), whether the experiment
+        # ran now or was loaded; without a store it stays whole.
+        campaign = build_campaign(experiments=2)
+        keep = ExecutionConfig(keep_raw_results=True)
+        whole = run_and_analyze(campaign, keep)
+        fresh = run_and_analyze(campaign, keep, store=CampaignStore(tmp_path / "a"))
+        resumed = run_and_analyze(campaign, keep, store=CampaignStore(tmp_path / "a"))
+        runtime = CampaignRunner(campaign).run(store=CampaignStore(tmp_path / "r"))
+        reloaded = CampaignRunner(campaign).run(store=CampaignStore(tmp_path / "r"))
+        for name in ("alpha", "beta"):
+            results = [
+                [experiment.result for experiment in analysis.study(name).experiments]
+                for analysis in (fresh, resumed)
+            ] + [run.studies[name].experiments for run in (runtime, reloaded)]
+            payloads = [[result_to_dict(result) for result in run] for run in results]
+            assert payloads[1:] == payloads[:1] * 3
+            for kept, full in zip(fresh.study(name).experiments, whole.study(name).experiments):
+                assert len(full.result.sync_messages) == 100
+                assert 0 < len(kept.result.sync_messages) < len(full.result.sync_messages)
+                assert kept.clock_bounds == full.clock_bounds
+
     def test_store_accepts_path_argument(self, tmp_path):
         campaign = build_campaign(experiments=1)
         run_and_analyze(campaign, store=tmp_path / "by-path")

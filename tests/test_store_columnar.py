@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.analysis.clock_sync import SyncMessageRecord, SyncTable
+from repro.analysis.clock_sync import SyncMessageRecord, SyncTable, envelope_rows
 from repro.core.campaign import CampaignRunner
 from repro.errors import StoreError, StoreIntegrityError
 from repro.pipeline import run_and_analyze
@@ -485,11 +485,10 @@ class TestColumnarStore:
     def test_streamed_fingerprint_equals_whole_campaign_dump(self, tmp_path):
         # content_fingerprint() feeds the hasher record by record; the
         # value is *defined* as the digest of one canonical dump of
-        # {study: {str(index): payload}}.  Twelve indices make "10" and
-        # "11" sort before "2", one index is superseded across codecs and
-        # one within the columnar file.
-        from dataclasses import replace
-
+        # {study: {str(index): payload}}, where a payload is what append
+        # archives: its sync table kept to the envelope rows.  Twelve
+        # indices make "10" and "11" sort before "2", one index is
+        # superseded across codecs and one within the columnar file.
         campaign = build_campaign()
         records = {
             study.name: [
@@ -511,8 +510,15 @@ class TestColumnarStore:
         assert store.verify()["alpha"].superseded == 4
         assert store.verify()["beta"].superseded == 1
 
+        def archived(record):
+            envelope = envelope_rows(record.sync_messages, record.hosts, record.reference_host)
+            return replace(record, sync_messages=envelope)
+
         content = {
-            name: {str(record.index): result_to_dict(record) for record in study_records}
+            name: {
+                str(record.index): result_to_dict(archived(record))
+                for record in study_records
+            }
             for name, study_records in records.items()
         }
         whole = json.dumps(content, sort_keys=True, separators=(",", ":"))
