@@ -34,7 +34,6 @@ from repro.analysis.intervals import Interval, IntervalSet
 from repro.analysis.verification import (
     ExperimentVerification,
     InjectionVerdict,
-    filter_experiments,
     verify_experiment,
 )
 
@@ -54,7 +53,6 @@ __all__ = [
     "estimate_all_bounds",
     "estimate_clock_bounds",
     "estimate_clock_bounds_lp",
-    "filter_experiments",
     "select_reference_host",
     "verify_experiment",
 ]

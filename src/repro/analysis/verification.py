@@ -279,22 +279,3 @@ def verify_experiment(
                 if (machine, definition.name) not in injected:
                     verification.missing_faults.append((machine, definition.name))
     return verification
-
-
-def filter_experiments(
-    timelines: Mapping[int, GlobalTimeline] | list[GlobalTimeline],
-    fault_specifications: Mapping[str, FaultSpecification],
-) -> tuple[list[GlobalTimeline], list[GlobalTimeline]]:
-    """Split experiments into (accepted, discarded) by injection correctness."""
-    if isinstance(timelines, Mapping):
-        items = list(timelines.values())
-    else:
-        items = list(timelines)
-    accepted: list[GlobalTimeline] = []
-    discarded: list[GlobalTimeline] = []
-    for timeline in items:
-        if verify_experiment(timeline, fault_specifications).correct:
-            accepted.append(timeline)
-        else:
-            discarded.append(timeline)
-    return accepted, discarded

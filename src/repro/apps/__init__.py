@@ -44,7 +44,6 @@ from repro.apps.dfsmaster import (
 from repro.apps.election import (
     LeaderElectionApplication,
     build_election_study,
-    election_fault_specification,
     election_state_machine_spec,
 )
 from repro.apps.protocol_notes import (
@@ -121,7 +120,6 @@ __all__ = [
     "dfs_datanode_spec",
     "dfs_master_spec",
     "driver_state_machine_spec",
-    "election_fault_specification",
     "election_state_machine_spec",
     "notes_of_kind",
     "observer_state_machine_spec",

@@ -132,11 +132,6 @@ def uncorrelated_follower_fault(follower: str, name: str | None = None) -> Fault
     )
 
 
-def election_fault_specification(*faults: FaultDefinition) -> FaultSpecification:
-    """Wrap the fault definitions that apply to one machine."""
-    return FaultSpecification.from_definitions(faults)
-
-
 def coverage_study_measure(machine: str) -> StudyMeasure:
     """The Section 5.8 coverage study measure as an indicator (0/1) value.
 

@@ -134,15 +134,6 @@ def participant_state_machine_spec(
     return build_specification(name, PARTICIPANT_STATES, PARTICIPANT_EVENTS, states)
 
 
-def coordinator_prepare_fault(coordinator: str, name: str = "cfault1") -> FaultDefinition:
-    """``(coordinator:PREPARE) once`` — crash the coordinator mid-decision."""
-    return FaultDefinition(
-        name=name,
-        expression=StateAtom(coordinator, "PREPARE"),
-        trigger=FaultTrigger.ONCE,
-    )
-
-
 def coordinator_in_doubt_fault(
     coordinator: str, participant: str, name: str = "cfault2"
 ) -> FaultDefinition:

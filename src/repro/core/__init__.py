@@ -1,11 +1,11 @@
 """The Loki fault injector core.
 
 This package contains the paper's primary contribution: the specification
-formats (state-machine and fault specifications, node/daemon/study files),
-the runtime components attached to every node (state machine, state-machine
-transport, fault parser, recorder, probe), the daemon-based runtime
-architectures of Chapter 3, and the campaign/study/experiment orchestration
-of Chapter 2.
+objects (state-machine specifications built as Python objects, fault
+specifications with their text format), the runtime components attached
+to every node (state machine, state-machine transport, fault parser,
+recorder, probe), the daemon-based runtime architectures of Chapter 3, and
+the campaign/study/experiment orchestration of Chapter 2.
 """
 
 from repro.core.expression import And, Expression, Not, Or, StateAtom, parse_expression
@@ -13,22 +13,13 @@ from repro.core.faults import FaultParser, InjectionRequest
 from repro.core.probe import CallbackProbe, Probe
 from repro.core.recorder import Recorder
 from repro.core.specs import (
-    DaemonContactEntry,
-    DaemonStartupEntry,
     FaultDefinition,
     FaultSpecification,
     FaultTrigger,
-    NodeFileEntry,
     StateMachineSpecification,
     StateSpecification,
-    StudyFile,
     format_fault_specification,
-    format_node_file,
-    format_state_machine_specification,
     parse_fault_specification,
-    parse_machines_file,
-    parse_node_file,
-    parse_state_machine_specification,
 )
 from repro.core.statemachine import StateMachine
 from repro.core.timeline import (
@@ -42,8 +33,6 @@ from repro.core.timeline import (
 __all__ = [
     "And",
     "CallbackProbe",
-    "DaemonContactEntry",
-    "DaemonStartupEntry",
     "Expression",
     "FaultDefinition",
     "FaultParser",
@@ -51,7 +40,6 @@ __all__ = [
     "FaultTrigger",
     "InjectionRequest",
     "LocalTimeline",
-    "NodeFileEntry",
     "Not",
     "Or",
     "Probe",
@@ -61,16 +49,10 @@ __all__ = [
     "StateMachine",
     "StateMachineSpecification",
     "StateSpecification",
-    "StudyFile",
     "TimelineRecord",
     "format_fault_specification",
     "format_local_timeline",
-    "format_node_file",
-    "format_state_machine_specification",
     "parse_expression",
     "parse_fault_specification",
     "parse_local_timeline",
-    "parse_machines_file",
-    "parse_node_file",
-    "parse_state_machine_specification",
 ]

@@ -9,7 +9,7 @@ distributed application with the study's fault injections.
 :class:`CampaignRunner` executes campaigns on the simulated substrate: for
 every experiment it builds a fresh environment (hosts with their own clocks
 and schedulers), runs the pre-experiment synchronization mini-phase, starts
-the daemons and the state machines named in the node file, lets the
+the daemons and the state machines that have a start host, lets the
 experiment run to completion (or timeout), runs the post-experiment
 synchronization mini-phase, and collects the local timelines and timestamp
 records for the analysis phase.
@@ -121,7 +121,7 @@ class StudyConfig:
 
     @property
     def host_names(self) -> tuple[str, ...]:
-        """The machines file of the study."""
+        """The study's host names (the paper's machines file)."""
         return tuple(host.name for host in self.hosts)
 
     def node_definitions(self) -> dict[str, NodeDefinition]:

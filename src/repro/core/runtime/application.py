@@ -79,7 +79,7 @@ class NodeContext:
 
     @property
     def arguments(self) -> tuple[str, ...]:
-        """The application arguments from the study file."""
+        """The application arguments of the node definition (fixed per study)."""
         return self._node.definition.arguments
 
     @property

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.specs.fault_spec import FaultSpecification
-from repro.core.specs.files import NodeFileEntry
 from repro.core.specs.state_machine import (
     RESERVED_EVENTS,
     RESERVED_STATES,
@@ -41,10 +40,6 @@ class NodeDefinition:
     application_factory: Callable[[], "LokiApplication"]
     start_host: str | None = None
     arguments: tuple[str, ...] = ()
-
-    def node_file_entry(self) -> NodeFileEntry:
-        """The node-file line corresponding to this definition."""
-        return NodeFileEntry(nickname=self.nickname, host=self.start_host)
 
 
 @dataclass(frozen=True)
@@ -165,16 +160,22 @@ class ExperimentContext:
     abort_reason: str | None = None
 
     def __post_init__(self) -> None:
+        placements: list[tuple[str, str]] = []
         for nickname, definition in self.node_definitions.items():
             if nickname != definition.nickname:
                 raise RuntimeConfigurationError(
                     f"node definition key {nickname!r} does not match nickname "
                     f"{definition.nickname!r}"
                 )
-            if definition.start_host is not None and definition.start_host not in self.hosts:
-                raise RuntimeConfigurationError(
-                    f"node {nickname!r} starts on unknown host {definition.start_host!r}"
-                )
+            if definition.start_host is not None:
+                if definition.start_host not in self.hosts:
+                    raise RuntimeConfigurationError(
+                        f"node {nickname!r} starts on unknown host {definition.start_host!r}"
+                    )
+                placements.append((nickname, definition.start_host))
+        #: ``(nickname, host)`` of every machine the central daemon starts at
+        #: the beginning of the experiment, in ``node_definitions`` order.
+        self.initial_placements: tuple[tuple[str, str], ...] = tuple(placements)
 
     # -- naming -------------------------------------------------------------------
 
@@ -209,11 +210,6 @@ class ExperimentContext:
         return definition.start_host or self.hosts[0]
 
     # -- node management ------------------------------------------------------------
-
-    def node_file_entries(self) -> tuple[NodeFileEntry, ...]:
-        """The node file used by the central daemon at experiment start."""
-        # repro-lint: disable=R003 definition order comes from the study config and is stable
-        return tuple(defn.node_file_entry() for defn in self.node_definitions.values())
 
     def spawn_node(self, nickname: str, host: str, is_restart: bool | None = None) -> "LokiNodeProcess":
         """Create and start the node process for ``nickname`` on ``host``."""

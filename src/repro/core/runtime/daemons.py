@@ -8,7 +8,7 @@
   other daemons, and performs the local experiment-completion check.
 
 * The **central daemon** manages each experiment: it starts the state
-  machines listed in the node file, enforces the experiment timeout,
+  machines that have a start host, enforces the experiment timeout,
   restarts crashed nodes according to the restart policy (possibly on a
   different host), and declares the experiment complete when no state
   machines are executing anywhere.
@@ -253,11 +253,9 @@ class CentralDaemonProcess(SimProcess):
     def start(self) -> None:
         self.set_timer(self.context.experiment_timeout, self._on_timeout)
         self.context.environment.add_termination_listener(self._on_process_terminated)
-        for entry in self.context.node_file_entries():
-            if entry.host is None:
-                continue
-            daemon = self.context.daemon_name(entry.host, entry.nickname)
-            self.send(daemon, msg.StartStateMachine(machine=entry.nickname))
+        for nickname, host in self.context.initial_placements:
+            daemon = self.context.daemon_name(host, nickname)
+            self.send(daemon, msg.StartStateMachine(machine=nickname))
 
     # -- message handling -----------------------------------------------------------
 
@@ -298,12 +296,12 @@ class CentralDaemonProcess(SimProcess):
     def _check_complete(self) -> None:
         if self.context.experiment_complete:
             return
-        # Every machine the node file starts at the beginning must have
-        # registered at least once before the experiment can be considered
-        # over; otherwise an early crash report that overtook the other
-        # registrations could end the experiment prematurely.
-        for entry in self.context.node_file_entries():
-            if entry.host is not None and self._registrations.get(entry.nickname, 0) == 0:
+        # Every machine started at the beginning must have registered at
+        # least once before the experiment can be considered over; otherwise
+        # an early crash report that overtook the other registrations could
+        # end the experiment prematurely.
+        for nickname, _host in self.context.initial_placements:
+            if self._registrations.get(nickname, 0) == 0:
                 return
         if self._seen and not self._live_machines() and not self._pending_restarts:
             self.context.mark_complete()

@@ -1,19 +1,16 @@
-"""Specification objects and parsers for the Loki input files.
+"""Specification objects for the Loki inputs (Chapter 3).
 
-Loki is driven by a small family of text files (Chapter 3 and Chapter 5):
+The paper drives Loki from a family of text files.  This reproduction
+builds every study as Python objects, and keeps a text format only where a
+caller reads one:
 
 * the *state machine specification* — one per state machine — describing
-  states, events, transitions, and per-state notify lists;
+  states, events, transitions, and per-state notify lists (built with
+  :func:`~repro.core.specs.state_machine.build_specification`);
 * the *fault specification* — Boolean fault expressions with once/always
-  triggers;
-* the *node file* — which state machines to start at the beginning of every
-  experiment and on which hosts;
-* the *daemon startup* and *daemon contact* files used by the local daemons;
-* the *machines file* and per-state-machine *study files* used by the
-  campaign execution commands of Section 5.6.
+  triggers — with a parser and formatter for the paper's textual format.
 
-This package provides dataclasses for each of these plus parsers and
-formatters that round-trip the paper's textual formats.
+The local-timeline text format lives in :mod:`repro.core.timeline`.
 """
 
 from repro.core.specs.fault_spec import (
@@ -23,55 +20,21 @@ from repro.core.specs.fault_spec import (
     format_fault_specification,
     parse_fault_specification,
 )
-from repro.core.specs.files import (
-    DaemonContactEntry,
-    DaemonStartupEntry,
-    NodeFileEntry,
-    StudyFile,
-    format_daemon_contact_file,
-    format_daemon_startup_file,
-    format_machines_file,
-    format_node_file,
-    format_study_file,
-    parse_daemon_contact_file,
-    parse_daemon_startup_file,
-    parse_machines_file,
-    parse_node_file,
-    parse_study_file,
-)
 from repro.core.specs.state_machine import (
     RESERVED_EVENTS,
     RESERVED_STATES,
     StateMachineSpecification,
     StateSpecification,
-    format_state_machine_specification,
-    parse_state_machine_specification,
 )
 
 __all__ = [
-    "DaemonContactEntry",
-    "DaemonStartupEntry",
     "FaultDefinition",
     "FaultSpecification",
     "FaultTrigger",
-    "NodeFileEntry",
     "RESERVED_EVENTS",
     "RESERVED_STATES",
     "StateMachineSpecification",
     "StateSpecification",
-    "StudyFile",
-    "format_daemon_contact_file",
-    "format_daemon_startup_file",
     "format_fault_specification",
-    "format_machines_file",
-    "format_node_file",
-    "format_state_machine_specification",
-    "format_study_file",
-    "parse_daemon_contact_file",
-    "parse_daemon_startup_file",
     "parse_fault_specification",
-    "parse_machines_file",
-    "parse_node_file",
-    "parse_state_machine_specification",
-    "parse_study_file",
 ]

@@ -1,23 +1,12 @@
-"""State-machine specifications and their textual format (Section 3.5.3).
+"""State-machine specifications (Section 3.5.3).
 
 A state-machine specification describes the execution of one component of
 the distributed system at the level of abstraction needed for fault
 injection: the list of global states, the list of local events of this
 machine, and — per state — the list of remote state machines to notify on
-entry plus the event-to-next-state transitions.
-
-The textual format is the one given in the paper::
-
-    global_state_list
-    <list_of_states>
-    end_global_state_list
-    event_list
-    <list_of_events>
-    end_event_list
-
-    state <state> [notify <nickname> ... <nickname>]
-    <event> <next_state>
-    ...
+entry plus the event-to-next-state transitions.  The paper reads it from a
+text file; here every study builds it as Python objects
+(:func:`build_specification`).
 """
 
 from __future__ import annotations
@@ -143,137 +132,24 @@ class StateMachineSpecification:
         return frozenset(seen)
 
 
-def parse_state_machine_specification(text: str, name: str) -> StateMachineSpecification:
-    """Parse the textual state-machine specification format.
-
-    Parameters
-    ----------
-    text:
-        The specification file contents.
-    name:
-        The nickname of the state machine the specification belongs to (the
-        file format itself does not embed it).
-    """
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line and not line.startswith("#")]
-    index = 0
-
-    def expect(keyword: str) -> None:
-        nonlocal index
-        if index >= len(lines) or lines[index] != keyword:
-            found = lines[index] if index < len(lines) else "<end of file>"
-            raise SpecificationError(f"{name}: expected {keyword!r} but found {found!r}")
-        index += 1
-
-    def read_until(terminator: str) -> list[str]:
-        nonlocal index
-        collected: list[str] = []
-        while index < len(lines) and lines[index] != terminator:
-            collected.append(lines[index])
-            index += 1
-        if index >= len(lines):
-            raise SpecificationError(f"{name}: missing {terminator!r}")
-        index += 1
-        return collected
-
-    expect("global_state_list")
-    global_states = read_until("end_global_state_list")
-    expect("event_list")
-    events = read_until("end_event_list")
-
-    states: dict[str, StateSpecification] = {}
-    current_state: str | None = None
-    current_notify: tuple[str, ...] = ()
-    current_transitions: dict[str, str] = {}
-
-    def flush() -> None:
-        nonlocal current_state, current_notify, current_transitions
-        if current_state is None:
-            return
-        if current_state in states:
-            raise SpecificationError(f"{name}: state {current_state!r} defined twice")
-        states[current_state] = StateSpecification(
-            name=current_state,
-            notify=current_notify,
-            transitions=dict(current_transitions),
-        )
-        current_state = None
-        current_notify = ()
-        current_transitions = {}
-
-    while index < len(lines):
-        line = lines[index]
-        index += 1
-        tokens = line.split()
-        if tokens[0] == "state":
-            flush()
-            if len(tokens) < 2:
-                raise SpecificationError(f"{name}: 'state' line without a state name: {line!r}")
-            current_state = tokens[1]
-            if len(tokens) > 2:
-                if tokens[2] != "notify":
-                    raise SpecificationError(
-                        f"{name}: expected 'notify' after state name in {line!r}"
-                    )
-                current_notify = tuple(token.rstrip(",") for token in tokens[3:])
-            else:
-                current_notify = ()
-        else:
-            if current_state is None:
-                raise SpecificationError(f"{name}: transition line outside a state block: {line!r}")
-            if len(tokens) != 2:
-                raise SpecificationError(
-                    f"{name}: transition lines must be '<event> <next_state>', got {line!r}"
-                )
-            event, target = tokens
-            if event in current_transitions:
-                raise SpecificationError(
-                    f"{name}: duplicate transition for event {event!r} in state {current_state!r}"
-                )
-            current_transitions[event] = target
-    flush()
-
-    return StateMachineSpecification(
-        name=name,
-        global_states=tuple(global_states),
-        events=tuple(events),
-        states=states,
-    )
-
-
-def format_state_machine_specification(spec: StateMachineSpecification) -> str:
-    """Render a specification back into the paper's textual format."""
-    lines: list[str] = ["global_state_list"]
-    lines.extend(spec.global_states)
-    lines.append("end_global_state_list")
-    lines.append("event_list")
-    lines.extend(spec.events)
-    lines.append("end_event_list")
-    lines.append("")
-    for state_name in spec.states:
-        state = spec.states[state_name]
-        header = f"state {state.name}"
-        if state.notify:
-            header += " notify " + " ".join(state.notify)
-        else:
-            header += " notify"
-        lines.append(header)
-        for event, target in state.transitions.items():
-            lines.append(f"{event} {target}")
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
-
-
 def build_specification(
     name: str,
     global_states: Iterable[str],
     events: Iterable[str],
     states: Iterable[StateSpecification],
 ) -> StateMachineSpecification:
-    """Convenience constructor from iterables (used by the example apps)."""
+    """Convenience constructor from iterables (used by the example apps).
+
+    Raises :class:`SpecificationError` if two states share a name.
+    """
+    by_name: dict[str, StateSpecification] = {}
+    for state in states:
+        if state.name in by_name:
+            raise SpecificationError(f"{name}: state {state.name!r} defined twice")
+        by_name[state.name] = state
     return StateMachineSpecification(
         name=name,
         global_states=tuple(global_states),
         events=tuple(events),
-        states={state.name: state for state in states},
+        states=by_name,
     )

@@ -14,12 +14,11 @@ class ReproError(Exception):
 
 
 class SpecificationError(ReproError):
-    """A user-provided specification file or object is malformed.
+    """A user-provided specification text or object is malformed.
 
-    Raised by the parsers for state-machine specifications, fault
-    specifications, node files, daemon files, and study files, as well as by
-    the in-memory builders when a specification is inconsistent (for example
-    a transition that targets a state missing from the global state list).
+    Raised by the fault-specification parser, as well as by the in-memory
+    builders when a specification is inconsistent (for example a transition
+    that targets a state missing from the global state list).
     """
 
 
@@ -46,10 +45,6 @@ class UnknownScenarioError(ReproError):
 
 class RuntimePhaseError(ReproError):
     """An unrecoverable error occurred while executing an experiment."""
-
-
-class UnknownStateMachineError(RuntimePhaseError):
-    """A notification or fault expression referenced an unknown machine."""
 
 
 class TimelineFormatError(ReproError):

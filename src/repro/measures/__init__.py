@@ -44,7 +44,7 @@ from repro.measures.predicate import (
 from repro.measures.pvt import PredicateTimeline, Transition
 from repro.measures.statistics import MomentSummary, combine_stratified, summarize_sample
 from repro.measures.study import MeasureStep, StudyMeasure
-from repro.measures.subset import SubsetSelection, select_all, value_between, value_positive, where
+from repro.measures.subset import SubsetSelection, select_all, value_positive, where
 from repro.measures.timeline_view import TimelineView
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "estimate_campaign_measure",
     "select_all",
     "summarize_sample",
-    "value_between",
     "value_positive",
     "where",
 ]

@@ -48,8 +48,3 @@ def where(function: Callable[[float], bool], name: str = "where") -> SubsetSelec
 def value_positive() -> SubsetSelection:
     """Keep experiments whose previous observation value is strictly positive."""
     return where(lambda value: value > 0, name="OBS_VALUE > 0")
-
-
-def value_between(lower: float, upper: float) -> SubsetSelection:
-    """Keep experiments whose previous observation value lies in ``[lower, upper]``."""
-    return where(lambda value: lower <= value <= upper, name=f"{lower} <= OBS_VALUE <= {upper}")

@@ -22,6 +22,7 @@ faults.  Every substrate-level delivery anomaly is recorded as a structured
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from math import log
 from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
@@ -200,10 +201,11 @@ class NetworkModel:
         self._routes: dict[tuple[str, str], _Route] = {}
         self._partitions = topology._partitions
         self._post_at = kernel.post_at
-        # ``_make`` is ``classmethod(tuple.__new__)`` — the C-level
-        # constructor behind the generated ``__new__``, whose extra
-        # Python frame is measurable at one message per send.
-        self._make_message = NetworkMessage._make
+        # ``tuple.__new__`` bound to the class builds the same tuple as the
+        # generated ``__new__`` and as ``_make`` (both Python-level
+        # functions on CPython), without their frame, at one message per
+        # send.
+        self._make_message = partial(tuple.__new__, NetworkMessage)
         self.messages_sent = 0
         #: Messages committed to delivery (loss, outage, and partition
         #: checks all passed).  Committed deliveries are uncancellable, so

@@ -35,7 +35,6 @@ from repro.store.columnar import (
     COLUMNAR_FORMAT_VERSION,
     READABLE_COLUMNAR_VERSIONS,
     ColumnarScan,
-    block_roundtrips,
     decode_block,
     encode_block,
     scan_blocks,
@@ -44,7 +43,6 @@ from repro.store.format import (
     RECORD_FORMAT_VERSION,
     decode_record,
     encode_record,
-    record_roundtrips,
     result_from_dict,
     result_to_dict,
     timeline_from_dict,
@@ -70,13 +68,11 @@ __all__ = [
     "StoreReport",
     "StoredStudyConfig",
     "StudyManifest",
-    "block_roundtrips",
     "decode_block",
     "decode_record",
     "encode_block",
     "encode_record",
     "expected_seeds",
-    "record_roundtrips",
     "result_from_dict",
     "result_to_dict",
     "scan_blocks",

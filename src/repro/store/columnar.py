@@ -250,14 +250,6 @@ def decode_block(header: dict[str, Any], payload: bytes) -> ExperimentResult:
         raise StoreIntegrityError(f"malformed columnar block payload: {error}") from None
 
 
-def block_roundtrips(result: ExperimentResult) -> bool:
-    """Whether ``result`` survives a columnar round trip bit-exactly."""
-    block = encode_block(result)
-    header_line, _, rest = block.partition(b"\n")
-    decoded = decode_block(json.loads(header_line), rest[:-1])
-    return result_to_dict(decoded) == result_to_dict(result)
-
-
 # ---------------------------------------------------------------------------
 # Files: scanning, healing, appending
 # ---------------------------------------------------------------------------

@@ -252,8 +252,3 @@ def decode_record(line: str) -> ExperimentResult:
         return result_from_dict(payload)
     except (LookupError, TypeError, ValueError, SpecificationError) as error:
         raise StoreIntegrityError(f"malformed record payload: {error}") from None
-
-
-def record_roundtrips(result: ExperimentResult) -> bool:
-    """Whether ``result`` survives encode/decode bit-exactly (a self-test)."""
-    return result_to_dict(decode_record(encode_record(result))) == result_to_dict(result)

@@ -5,8 +5,9 @@ Three layers, mirroring the README scenario-table check in
 
 * every fenced ``python`` code block in ``README.md`` and ``docs/*.md``
   must at least **compile** (the ``python -m compileall`` of the docs);
-* the README's runnable snippets (quickstart, persistence & resume) are
-  **executed** in a scratch directory and must run clean;
+* the README's runnable snippets (quickstart, persistence & resume,
+  distributed, protocol) are **executed** in a scratch directory and
+  must run clean;
 * the prose is spot-checked for the contracts it promises (the quickstart
   must mention the ``store=`` parameter, the architecture tour must cover
   every phase module);

@@ -11,7 +11,6 @@ from repro.analysis.global_timeline import (
 )
 from repro.analysis.verification import (
     expression_regions,
-    filter_experiments,
     verify_experiment,
 )
 from repro.core.expression import And, Not, Or, StateAtom
@@ -205,18 +204,6 @@ class TestVerification:
         )
         verification = verify_experiment(built, {"driver": faults})
         assert verification.correct
-
-    def test_filter_experiments_splits_accepted_and_discarded(self):
-        bounds = {"hosta": ClockBounds.identity(), "hostb": ClockBounds.identity()}
-        good = build_global_timeline(
-            {"driver": driver_timeline(0.1, 0.2), "observer": observer_timeline(0.15)}, bounds
-        )
-        bad = build_global_timeline(
-            {"driver": driver_timeline(0.1, 0.2), "observer": observer_timeline(0.35)}, bounds
-        )
-        accepted, discarded = filter_experiments([good, bad], fault_specs())
-        assert accepted == [good]
-        assert discarded == [bad]
 
 
 class TestExpressionRegions:

@@ -567,11 +567,17 @@ class TestStudyNetworkPlumbing:
         assert "network" in study_description(configured)
 
     def test_fingerprint_covers_state_triggered_network_fault(self):
-        from repro.apps.twophase import build_twophase_study, coordinator_prepare_fault
+        from repro.apps.twophase import build_twophase_study
 
         crash = build_twophase_study(
             "2pc",
-            faults_by_machine={"coordinator": (coordinator_prepare_fault("coordinator"),)},
+            faults_by_machine={
+                "coordinator": (
+                    FaultDefinition(
+                        "cfault1", StateAtom("coordinator", "PREPARE"), FaultTrigger.ONCE
+                    ),
+                )
+            },
             experiments=1,
         )
         partition = build_twophase_study(

@@ -15,7 +15,7 @@ from repro.measures.observation import (
 from repro.measures.predicate import StateTuple
 from repro.measures.pvt import PredicateTimeline
 from repro.measures.study import MeasureStep, StudyMeasure
-from repro.measures.subset import select_all, value_between, value_positive, where
+from repro.measures.subset import select_all, value_positive, where
 from repro.measures.timeline_view import TimelineView
 
 
@@ -126,11 +126,6 @@ class TestSubsetSelections:
         assert not value_positive()(0.0)
         assert value_positive()(None)  # first triple passes everything
 
-    def test_value_between(self):
-        subset = value_between(2, 10)
-        assert subset(2.0) and subset(10.0)
-        assert not subset(11.0)
-
     def test_where_custom(self):
         subset = where(lambda value: value != 0)
         assert subset(5.0)
@@ -153,7 +148,7 @@ class TestStudyMeasure:
             "conditional",
             [
                 (select_all(), StateTuple("m", "ACTIVE"), TotalDuration("T")),
-                (value_between(3, 100), StateTuple("m", "ACTIVE"), Count("U", "S")),
+                (where(lambda value: 3 <= value <= 100), StateTuple("m", "ACTIVE"), Count("U", "S")),
             ],
         )
         assert measure.apply_to_view(self.view(5.0)) == 1.0
@@ -164,7 +159,7 @@ class TestStudyMeasure:
             "conditional",
             [
                 (select_all(), StateTuple("m", "ACTIVE"), TotalDuration("T")),
-                (value_between(3, 100), StateTuple("m", "ACTIVE"), Count("U", "S")),
+                (where(lambda value: 3 <= value <= 100), StateTuple("m", "ACTIVE"), Count("U", "S")),
             ],
         )
         views = [self.view(5.0), self.view(1.0), self.view(8.0)]

@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -86,6 +87,17 @@ class TestCampaignRunner:
         a = first.experiments[0].local_timelines[OBSERVER]
         b = second.experiments[0].local_timelines[OBSERVER]
         assert [(r.kind, r.time) for r in a.records] == [(r.kind, r.time) for r in b.records]
+
+    def test_machine_without_start_host_is_not_started(self):
+        # Only machines with a start host are started at the beginning; the
+        # others may enter later, and completion does not wait for them.
+        study = build_toggle_study("toggle", dwell_time=0.03, cycles=3, experiments=1)
+        assert study.nodes[1].nickname == OBSERVER
+        study.nodes[1] = replace(study.nodes[1], start_host=None)
+        experiment = run_single_study(study).experiments[0]
+        assert experiment.completed and not experiment.aborted
+        assert experiment.stats["registrations"] == 1
+        assert list(experiment.local_timelines) == [DRIVER]
 
     def test_different_experiments_use_different_clocks(self):
         _, result = run_toggle(experiments=2)

@@ -16,12 +16,13 @@ from repro.apps.twophase import (
     TwoPhaseParameters,
     build_twophase_study,
     coordinator_in_doubt_fault,
-    coordinator_prepare_fault,
     coordinator_state_machine_spec,
     participant_state_machine_spec,
     participant_voted_fault,
 )
 from repro.core.campaign import StudyConfig, run_single_study
+from repro.core.expression import StateAtom
+from repro.core.specs.fault_spec import FaultDefinition, FaultTrigger
 from repro.errors import ReproError, SpecificationError, UnknownScenarioError
 from repro.experiments import scenario_comparison
 from repro.pipeline import analyze_study
@@ -207,7 +208,8 @@ class TestTwoPhaseCommit:
             )
 
     def test_fault_helpers_render_expected_expressions(self):
-        assert coordinator_prepare_fault("c").to_text() == "cfault1 (c:PREPARE) once"
+        prepare = FaultDefinition("cfault1", StateAtom("c", "PREPARE"), FaultTrigger.ONCE)
+        assert prepare.to_text() == "cfault1 (c:PREPARE) once"
         assert (
             coordinator_in_doubt_fault("c", "p").to_text()
             == "cfault2 ((c:PREPARE) & (p:VOTED)) once"

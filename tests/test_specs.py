@@ -1,109 +1,73 @@
-"""Tests for the specification objects and the paper's textual file formats."""
+"""Tests for the specification objects and the fault-specification text format."""
 
 import pytest
 
+from repro.apps.election import election_state_machine_spec
 from repro.core.expression import StateAtom
 from repro.core.specs import (
     FaultDefinition,
     FaultSpecification,
     FaultTrigger,
-    NodeFileEntry,
-    StudyFile,
+    StateMachineSpecification,
     format_fault_specification,
-    format_node_file,
-    format_state_machine_specification,
     parse_fault_specification,
-    parse_machines_file,
-    parse_node_file,
-    parse_state_machine_specification,
-)
-from repro.core.specs.files import (
-    DaemonContactEntry,
-    DaemonStartupEntry,
-    format_daemon_contact_file,
-    format_daemon_startup_file,
-    format_study_file,
-    parse_daemon_contact_file,
-    parse_daemon_startup_file,
-    parse_study_file,
 )
 from repro.core.specs.state_machine import StateSpecification, build_specification
 from repro.errors import SpecificationError
 
-# The Section 5.3 specification of the state machine "black", verbatim.
-BLACK_SPEC = """
-global_state_list
-BEGIN
-INIT
-RESTART_SM
-ELECT
-FOLLOW
-LEAD
-CRASH
-EXIT
-end_global_state_list
-event_list
-START
-INIT_DONE
-RESTART
-RESTART_DONE
-LEADER
-FOLLOWER
-LEADER_CRASH
-CRASH
-ERROR
-end_event_list
+# The Section 5.3 specification of the state machine "black": the global
+# state list, the event list, and per state its notify list and its
+# event -> next-state transitions, in the paper's order.
+BLACK_GLOBAL_STATES = ("BEGIN", "INIT", "RESTART_SM", "ELECT", "FOLLOW", "LEAD", "CRASH", "EXIT")
+BLACK_EVENTS = (
+    "START",
+    "INIT_DONE",
+    "RESTART",
+    "RESTART_DONE",
+    "LEADER",
+    "FOLLOWER",
+    "LEADER_CRASH",
+    "CRASH",
+    "ERROR",
+)
+BLACK_STATES = {
+    "INIT": (("green", "yellow"), {"INIT_DONE": "ELECT", "ERROR": "EXIT"}),
+    "RESTART_SM": (("green", "yellow"), {"RESTART_DONE": "FOLLOW", "ERROR": "EXIT"}),
+    "ELECT": ((), {"FOLLOWER": "FOLLOW", "LEADER": "LEAD", "CRASH": "CRASH", "ERROR": "EXIT"}),
+    "LEAD": ((), {"CRASH": "CRASH", "ERROR": "EXIT"}),
+    "FOLLOW": ((), {"LEADER_CRASH": "ELECT", "CRASH": "CRASH", "ERROR": "EXIT"}),
+    "CRASH": (("green", "yellow"), {}),
+    "EXIT": ((), {}),
+}
 
-state INIT notify green yellow
-INIT_DONE ELECT
-ERROR EXIT
 
-state RESTART_SM notify green yellow
-RESTART_DONE FOLLOW
-ERROR EXIT
-
-state ELECT notify
-FOLLOWER FOLLOW
-LEADER LEAD
-CRASH CRASH
-ERROR EXIT
-
-state LEAD notify
-CRASH CRASH
-ERROR EXIT
-
-state FOLLOW notify
-LEADER_CRASH ELECT
-CRASH CRASH
-ERROR EXIT
-
-state CRASH notify green yellow
-
-state EXIT notify
-"""
+def chapter5_black() -> StateMachineSpecification:
+    """The election app's specification of ``black`` (peers green, yellow)."""
+    return election_state_machine_spec("black", ("green", "yellow"))
 
 
 class TestStateMachineSpecification:
-    def test_parse_chapter5_black(self):
-        spec = parse_state_machine_specification(BLACK_SPEC, "black")
-        assert spec.name == "black"
-        assert len(spec.global_states) == 8
-        assert len(spec.events) == 9
+    def test_election_spec_is_chapter5_black(self):
+        paper = StateMachineSpecification(
+            name="black",
+            global_states=BLACK_GLOBAL_STATES,
+            events=BLACK_EVENTS,
+            states={
+                state: StateSpecification(state, notify=notify, transitions=transitions)
+                for state, (notify, transitions) in BLACK_STATES.items()
+            },
+        )
+        spec = chapter5_black()
+        assert spec == paper
+        assert tuple(spec.states) == tuple(BLACK_STATES)
         assert spec.notify_list("INIT") == ("green", "yellow")
         assert spec.notify_list("ELECT") == ()
         assert spec.transition("ELECT", "LEADER") == "LEAD"
         assert spec.transition("FOLLOW", "LEADER_CRASH") == "ELECT"
         assert spec.transition("LEAD", "LEADER") is None
 
-    def test_roundtrip_through_format(self):
-        spec = parse_state_machine_specification(BLACK_SPEC, "black")
-        text = format_state_machine_specification(spec)
-        reparsed = parse_state_machine_specification(text, "black")
-        assert reparsed == spec
-
     def test_reachability(self):
-        spec = parse_state_machine_specification(BLACK_SPEC, "black")
-        reachable = spec.reachable_states("INIT")
+        reachable = chapter5_black().reachable_states("INIT")
         assert "LEAD" in reachable
         assert "RESTART_SM" not in reachable
 
@@ -138,17 +102,18 @@ class TestStateMachineSpecification:
         with pytest.raises(SpecificationError):
             build_specification("sm", ["A", "A"], [], [])
 
-    def test_missing_terminator_rejected(self):
-        with pytest.raises(SpecificationError):
-            parse_state_machine_specification("global_state_list\nA\n", "sm")
-
-    def test_transition_outside_state_block_rejected(self):
-        bad = (
-            "global_state_list\nA\nend_global_state_list\n"
-            "event_list\ngo\nend_event_list\ngo A\n"
-        )
-        with pytest.raises(SpecificationError):
-            parse_state_machine_specification(bad, "sm")
+    def test_state_defined_twice_rejected(self):
+        # A second definition of a state must not silently replace the first.
+        with pytest.raises(SpecificationError, match="'A' defined twice"):
+            build_specification(
+                "sm",
+                ["A", "B"],
+                ["go"],
+                [
+                    StateSpecification("A", transitions={"go": "B"}),
+                    StateSpecification("A", notify=("peer",)),
+                ],
+            )
 
 
 class TestFaultSpecification:
@@ -199,59 +164,3 @@ class TestFaultSpecification:
         assert always.should_fire(previous=False, current=True, already_fired=True)
         assert not always.should_fire(previous=True, current=True, already_fired=True)
         assert not always.should_fire(previous=False, current=False, already_fired=False)
-
-
-class TestSupportFiles:
-    def test_node_file_roundtrip(self):
-        text = "black hosta\nyellow hostb\ngreen\n"
-        entries = parse_node_file(text)
-        assert entries[0] == NodeFileEntry("black", "hosta")
-        assert entries[2].host is None
-        assert not entries[2].starts_at_beginning
-        assert parse_node_file(format_node_file(entries)) == entries
-
-    def test_node_file_duplicate_rejected(self):
-        with pytest.raises(SpecificationError):
-            parse_node_file("black hosta\nblack hostb\n")
-
-    def test_node_file_too_many_fields_rejected(self):
-        with pytest.raises(SpecificationError):
-            parse_node_file("black hosta extra\n")
-
-    def test_daemon_startup_file_roundtrip(self):
-        entries = parse_daemon_startup_file("hosta 9000\nhostb 9001\n")
-        assert entries == (DaemonStartupEntry("hosta", 9000), DaemonStartupEntry("hostb", 9001))
-        assert parse_daemon_startup_file(format_daemon_startup_file(entries)) == entries
-
-    def test_daemon_startup_bad_port_rejected(self):
-        with pytest.raises(SpecificationError):
-            parse_daemon_startup_file("hosta not-a-port\n")
-
-    def test_daemon_contact_file_roundtrip(self):
-        entries = parse_daemon_contact_file("hosta 12 13\nhostb 22 23\n")
-        assert entries[0] == DaemonContactEntry("hosta", 12, 13)
-        assert parse_daemon_contact_file(format_daemon_contact_file(entries)) == entries
-
-    def test_machines_file(self):
-        assert parse_machines_file("hosta\nhostb\n# comment\n") == ("hosta", "hostb")
-        with pytest.raises(SpecificationError):
-            parse_machines_file("hosta\nhosta\n")
-
-    def test_study_file_roundtrip(self):
-        study = StudyFile(
-            nickname="black",
-            node_file="nodes.txt",
-            state_machine_specification_file="black.sm",
-            fault_specification_file="black.faults",
-            executable="/usr/bin/election",
-            arguments=("--id", "black"),
-        )
-        assert parse_study_file(format_study_file(study)) == study
-
-    def test_study_file_without_arguments(self):
-        parsed = parse_study_file("black\nnodes\nblack.sm\nblack.f\n/bin/app\n")
-        assert parsed.arguments == ()
-
-    def test_study_file_too_short_rejected(self):
-        with pytest.raises(SpecificationError):
-            parse_study_file("black\nnodes\n")
