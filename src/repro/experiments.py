@@ -20,8 +20,8 @@ from repro.apps.election import (
     leader_fault,
     uncorrelated_follower_fault,
 )
-from repro.apps.toggle import DRIVER, OBSERVER, build_toggle_study
-from repro.core.campaign import StudyConfig, run_single_study
+from repro.apps.toggle import build_toggle_study
+from repro.core.campaign import run_single_study
 from repro.core.execution import ExecutionConfig
 from repro.core.runtime.context import RestartPolicy
 from repro.core.runtime.designs import RuntimeDesign
