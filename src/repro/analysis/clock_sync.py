@@ -39,10 +39,15 @@ envelope values at vertices — everything the four linear programs and the
 O(n^3) pairwise vertex enumeration used to produce, in a single exact pass.
 
 The messages themselves live in one columnar :class:`SyncTable` from the
-moment the runtime phase records them until this solver reads them: the
-constraint lines of a machine are boolean-mask selections of the table's
-two time columns, ordered and de-duplicated with ``numpy.lexsort``; no
-per-message object exists on that path.
+moment the runtime phase records them until this solver reads them; no
+:class:`SyncMessageRecord` exists on that path.  An archived experiment
+has a few dozen rows, a handful of lines per envelope, so the solver works
+on plain floats: it reads each column once with ``.tolist()``, groups the
+rows into every machine's constraint lines in one pass, and orders each
+family by sorting ``(-slope, intercept, row)`` triples (ties in table
+order).  Each envelope is evaluated at its own breakpoints by index and
+at the other's in one merged walk — per-call numpy overhead would dwarf
+arrays this small.
 
 The historical :mod:`scipy` path is kept as
 :func:`estimate_clock_bounds_lp` purely as a cross-check for the test
@@ -54,7 +59,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import islice
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -235,23 +241,26 @@ class ClockBounds:
             and self.beta_lower <= beta <= self.beta_upper
         )
 
-    @cached_property
-    def projection_corners(self) -> np.ndarray:
-        """The ``(alpha, beta)`` corner array used for time projection.
+    @property
+    def projection_corners(self) -> tuple[tuple[float, float], ...]:
+        """The distinct ``(alpha, beta)`` corners used for time projection.
 
-        The polygon vertices when available, the four rectangle corners
-        (the paper's Equation 2.2) otherwise.  Cached so that projecting a
-        whole timeline touches the array-building cost once per host.
+        The polygon vertices when available, the rectangle corners (the
+        paper's Equation 2.2) otherwise — one corner for exact bounds such
+        as the reference machine's, as repeats add no candidate.
         """
         if self.vertices:
-            corners: Sequence[tuple[float, float]] = self.vertices
-        else:
-            corners = tuple(
-                (alpha, beta)
-                for alpha in (self.alpha_lower, self.alpha_upper)
-                for beta in (self.beta_lower, self.beta_upper)
+            return self.vertices
+        return tuple(
+            dict.fromkeys(
+                (
+                    (self.alpha_lower, self.beta_lower),
+                    (self.alpha_lower, self.beta_upper),
+                    (self.alpha_upper, self.beta_lower),
+                    (self.alpha_upper, self.beta_upper),
+                )
             )
-        return np.asarray(corners, dtype=float)
+        )
 
     def project_to_reference(self, local_time: float) -> tuple[float, float]:
         """Project a local-clock reading onto the reference clock.
@@ -263,9 +272,8 @@ class ClockBounds:
         vertices are available they are used, otherwise the four corners of
         the bounding rectangle (the paper's Equation 2.2) are evaluated.
         """
-        corners = self.projection_corners
-        candidates = (local_time - corners[:, 0]) / corners[:, 1]
-        return float(candidates.min()), float(candidates.max())
+        candidates = [(local_time - alpha) / beta for alpha, beta in self.projection_corners]
+        return min(candidates), max(candidates)
 
 
 def select_reference_host(clock_rates: Mapping[str, float]) -> str:
@@ -294,34 +302,34 @@ def select_reference_host(clock_rates: Mapping[str, float]) -> str:
 
 
 def _min_envelope(
-    slopes: np.ndarray, intercepts: np.ndarray
+    lines: list[tuple[float, float, int]],
 ) -> tuple[list[tuple[float, float]], list[float], list[int]]:
-    """The lower (minimum) envelope of a family of lines, given as columns.
+    """The lower (minimum) envelope of a family of lines.
 
-    Returns the active lines in order of increasing ``beta``, the
-    breakpoints where activity changes hands, and each active line's index
-    in the input columns.  The minimum of lines is concave, so the active
-    slope strictly decreases along ``beta``: the lines are ordered (stably)
-    by ``(-slope, intercept)``, only the first (smallest intercept) of each
-    equal-slope run can ever be minimal — which drops duplicated messages
-    too — and the standard monotone-hull sweep runs over what is left,
-    O(n log n) overall.  Re-run on just its active lines, the sweep meets
-    each with the same predecessor and so returns the same hull and cuts
-    bit for bit.  The maximum envelope of lower lines is this same sweep
-    over the negated lines, negated back.
+    Each line comes as a triple ``(-slope, intercept, row)``, ``row`` being
+    its position in the caller's table.  Returns the active lines as
+    ``(slope, intercept)`` in order of increasing ``beta``, the breakpoints
+    where activity changes hands, and each active line's row.  The minimum
+    of lines is concave, so the active slope strictly decreases along
+    ``beta``: sorting the triples (in place) orders the lines by
+    ``(-slope, intercept)`` with ties in row order, only the first
+    (smallest intercept) of each equal-slope run can ever be minimal —
+    which drops duplicated messages too — and the standard monotone-hull
+    sweep runs over what is left, O(n log n) overall.  Re-run on just its
+    active lines, the sweep meets each with the same predecessor and so
+    returns the same hull and cuts bit for bit.  The maximum envelope of
+    lower lines is this same sweep over the negated lines, negated back.
     """
-    order = np.lexsort((intercepts, -slopes))
-    slopes, intercepts = slopes[order], intercepts[order]
-    first_of_run = np.ones(len(slopes), dtype=bool)
-    first_of_run[1:] = slopes[1:] != slopes[:-1]
+    lines.sort()
     hull: list[tuple[float, float]] = []
     cuts: list[float] = []
     rows: list[int] = []
-    for slope, intercept, row in zip(
-        slopes[first_of_run].tolist(),
-        intercepts[first_of_run].tolist(),
-        order[first_of_run].tolist(),
-    ):
+    previous = None
+    for negated_slope, intercept, row in lines:
+        if negated_slope == previous:
+            continue
+        previous = negated_slope
+        slope = -negated_slope
         # Pop every line the new one overtakes before its predecessor's
         # breakpoint; the hull never empties that way (a cut needs two lines).
         while hull:
@@ -351,6 +359,36 @@ def _envelope_value(
     return slope * beta + intercept
 
 
+def _envelope_along(
+    hull: Sequence[tuple[float, float]], cuts: Sequence[float], betas: Iterable[float]
+) -> list[float]:
+    """:func:`_envelope_value` at each of the ascending ``betas``, in one walk of the cuts."""
+    values: list[float] = []
+    active = 0
+    count = len(cuts)
+    for beta in betas:
+        while active < count and cuts[active] <= beta:
+            active += 1
+        slope, intercept = hull[active]
+        values.append(slope * beta + intercept)
+    return values
+
+
+def _inner_vertices(
+    hull: Sequence[tuple[float, float]], cuts: Sequence[float], low: float, high: float
+) -> list[tuple[float, float]]:
+    """``(value, cut)`` at every breakpoint strictly inside ``(low, high)``.
+
+    Cut ``k`` belongs to ``hull[k + 1]`` — the line :func:`_envelope_value`
+    picks there, as the cuts strictly ascend — so no search is needed.
+    """
+    return [
+        (slope * cut + intercept, cut)
+        for cut, (slope, intercept) in zip(cuts, islice(hull, 1, None))
+        if low < cut < high
+    ]
+
+
 def _dedupe_vertices(
     points: Iterable[tuple[float, float]],
     tolerance: float = _VERTEX_TOLERANCE,
@@ -362,12 +400,24 @@ def _dedupe_vertices(
     bloats ``ClockBounds.vertices`` and the per-event candidate evaluation
     in ``project_to_reference``.  Points whose coordinates agree within a
     relative tolerance are collapsed onto the first representative.
+
+    The points are visited in ``(beta, alpha)`` order, so the kept ones
+    ascend in beta and each point is compared with them backwards.  No
+    duplicate pair's beta gap exceeds ``reach`` — the tolerance times the
+    largest ``|beta|`` (which sits at one end of the order) or 1 — and the
+    gap only grows going back, so the first kept point further than
+    ``reach`` away ends the search without changing any verdict.
     """
-    ordered = sorted(points, key=lambda point: (point[1], point[0]))
+    ordered = sorted(points, key=itemgetter(1, 0))
+    if not ordered:
+        return ()
+    reach = tolerance * max(1.0, abs(ordered[0][1]), abs(ordered[-1][1]))
     kept: list[tuple[float, float]] = []
     for alpha, beta in ordered:
         duplicate = False
-        for kept_alpha, kept_beta in kept:
+        for kept_alpha, kept_beta in reversed(kept):
+            if beta - kept_beta > reach:
+                break
             alpha_scale = max(1.0, abs(alpha), abs(kept_alpha))
             beta_scale = max(1.0, abs(beta), abs(kept_beta))
             if (
@@ -381,33 +431,29 @@ def _dedupe_vertices(
     return tuple(kept)
 
 
+def _unbounded(machine: str) -> ClockSynchronizationError:
+    return ClockSynchronizationError(
+        f"clock bounds for {machine!r} are unbounded; synchronization messages must "
+        "flow in both directions before and after the experiment"
+    )
+
+
 def _solve_lines(
-    upper_send: np.ndarray,
-    upper_receive: np.ndarray,
-    lower_send: np.ndarray,
-    lower_receive: np.ndarray,
+    upper_lines: list[tuple[float, float, int]],
+    lower_lines: list[tuple[float, float, int]],
     machine: str,
 ) -> ClockBounds:
-    """Exact bounds and polygon vertices from one machine's message times.
+    """Exact bounds and polygon vertices from one machine's constraint lines.
 
-    ``upper_*`` are the time columns of its reference -> machine messages,
-    ``lower_*`` those of its machine -> reference messages.
+    ``upper_lines`` are its upper lines and ``lower_lines`` its negated
+    lower lines, both as :func:`_min_envelope` triples.
     """
-    if not len(upper_send) or not len(lower_send):
-        raise ClockSynchronizationError(
-            f"clock bounds for {machine!r} are unbounded; synchronization messages must "
-            "flow in both directions before and after the experiment"
-        )
+    if not upper_lines or not lower_lines:
+        raise _unbounded(machine)
 
-    upper_hull, upper_cuts, _ = _min_envelope(-upper_send, upper_receive)
-    negated_hull, lower_cuts, _ = _min_envelope(lower_receive, -lower_send)
+    upper_hull, upper_cuts, _ = _min_envelope(upper_lines)
+    negated_hull, lower_cuts, _ = _min_envelope(lower_lines)
     lower_hull = [(-slope, -intercept) for slope, intercept in negated_hull]
-
-    def upper_at(beta: float) -> float:
-        return _envelope_value(upper_hull, upper_cuts, beta)
-
-    def lower_at(beta: float) -> float:
-        return _envelope_value(lower_hull, lower_cuts, beta)
 
     # Candidate betas: the positivity floor plus every envelope breakpoint
     # past it.  The gap function D = U - L is linear between consecutive
@@ -419,19 +465,21 @@ def _solve_lines(
         | {cut for cut in upper_cuts if cut > _BETA_FLOOR}
         | {cut for cut in lower_cuts if cut > _BETA_FLOOR}
     )
-    gaps = [upper_at(beta) - lower_at(beta) for beta in candidates]
+    gaps = [
+        upper - lower
+        for upper, lower in zip(
+            _envelope_along(upper_hull, upper_cuts, candidates),
+            _envelope_along(lower_hull, lower_cuts, candidates),
+        )
+    ]
     # Beyond the last candidate both envelopes follow their final line, so
     # the gap's tail slope decides boundedness at beta -> infinity.
     tail_slope = upper_hull[-1][0] - lower_hull[-1][0]
 
-    unbounded = ClockSynchronizationError(
-        f"clock bounds for {machine!r} are unbounded; synchronization messages must "
-        "flow in both directions before and after the experiment"
-    )
     feasible = [index for index, gap in enumerate(gaps) if gap >= 0.0]
     if not feasible:
         if tail_slope > 0.0:
-            raise unbounded
+            raise _unbounded(machine)
         raise ClockSynchronizationError(
             f"clock-bound estimation for {machine!r} failed: "
             "the synchronization constraints are mutually inconsistent (infeasible)"
@@ -447,7 +495,7 @@ def _solve_lines(
         beta_lower = left + (right - left) * (-gap_left) / (gap_right - gap_left)
     if last == len(candidates) - 1:
         if tail_slope >= 0.0:
-            raise unbounded
+            raise _unbounded(machine)
         beta_upper = candidates[last] + gaps[last] / (-tail_slope)
     else:
         left, right = candidates[last], candidates[last + 1]
@@ -458,12 +506,18 @@ def _solve_lines(
     # the maximum of the concave envelope U (attained at an envelope
     # breakpoint or an interval endpoint) and the smallest is the minimum
     # of the convex envelope L.
-    upper_values = [upper_at(beta_lower), upper_at(beta_upper)]
-    upper_values += [upper_at(cut) for cut in upper_cuts if beta_lower < cut < beta_upper]
-    lower_values = [lower_at(beta_lower), lower_at(beta_upper)]
-    lower_values += [lower_at(cut) for cut in lower_cuts if beta_lower < cut < beta_upper]
-    alpha_upper = max(upper_values)
-    alpha_lower = min(lower_values)
+    upper_ends = [
+        _envelope_value(upper_hull, upper_cuts, beta_lower),
+        _envelope_value(upper_hull, upper_cuts, beta_upper),
+    ]
+    lower_ends = [
+        _envelope_value(lower_hull, lower_cuts, beta_lower),
+        _envelope_value(lower_hull, lower_cuts, beta_upper),
+    ]
+    upper_inner = _inner_vertices(upper_hull, upper_cuts, beta_lower, beta_upper)
+    lower_inner = _inner_vertices(lower_hull, lower_cuts, beta_lower, beta_upper)
+    alpha_upper = max(upper_ends + [value for value, _ in upper_inner])
+    alpha_lower = min(lower_ends + [value for value, _ in lower_inner])
 
     if alpha_upper < alpha_lower or beta_upper < beta_lower:
         raise ClockSynchronizationError(
@@ -474,15 +528,14 @@ def _solve_lines(
     # Polygon vertices: the boundary points at the interval ends (where the
     # envelopes cross — or, when the positivity floor clips the polygon,
     # both envelope values) plus every envelope breakpoint strictly inside.
-    corners: list[tuple[float, float]] = [
-        (upper_at(beta_lower), beta_lower),
-        (lower_at(beta_lower), beta_lower),
-        (upper_at(beta_upper), beta_upper),
-        (lower_at(beta_upper), beta_upper),
+    corners = [
+        (upper_ends[0], beta_lower),
+        (lower_ends[0], beta_lower),
+        (upper_ends[1], beta_upper),
+        (lower_ends[1], beta_upper),
+        *upper_inner,
+        *lower_inner,
     ]
-    corners += [(upper_at(cut), cut) for cut in upper_cuts if beta_lower < cut < beta_upper]
-    corners += [(lower_at(cut), cut) for cut in lower_cuts if beta_lower < cut < beta_upper]
-
     return ClockBounds(
         alpha_lower=alpha_lower,
         alpha_upper=alpha_upper,
@@ -490,6 +543,36 @@ def _solve_lines(
         beta_upper=beta_upper,
         vertices=_dedupe_vertices(corners),
     )
+
+
+def _constraint_lines(
+    table: SyncTable, reference: str
+) -> tuple[dict[int, list[tuple[float, float, int]]], dict[int, list[tuple[float, float, int]]]]:
+    """Every machine's upper and negated lower lines, keyed by host code.
+
+    One pass over the table's columns, each read once with ``.tolist()``.
+    A reference -> machine row is the upper line ``(-send, receive)`` of
+    the receiver and a machine -> reference row the lower line
+    ``(-receive, send)`` of the sender, negated to ``(receive, -send)``;
+    both are kept as :func:`_min_envelope` triples.  Rows between other
+    hosts constrain nothing, and the reference's own rows (keyed by its
+    code) are never read.
+    """
+    reference_code = table.code(reference)
+    upper: dict[int, list[tuple[float, float, int]]] = {}
+    lower: dict[int, list[tuple[float, float, int]]] = {}
+    rows = zip(
+        table.sender.tolist(),
+        table.receiver.tolist(),
+        table.send_time.tolist(),
+        table.receive_time.tolist(),
+    )
+    for row, (sender, receiver, send, receive) in enumerate(rows):
+        if sender == reference_code:
+            upper.setdefault(receiver, []).append((send, receive, row))
+        elif receiver == reference_code:
+            lower.setdefault(sender, []).append((-receive, -send, row))
+    return upper, lower
 
 
 def estimate_clock_bounds(
@@ -508,34 +591,24 @@ def estimate_all_bounds(
 
     ``messages`` is a :class:`SyncTable` (any other iterable of records is
     turned into one first).  A machine's constraint lines are the rows whose
-    ``(sender, receiver)`` codes are ``(reference, machine)`` or the reverse,
-    picked out of the time columns by boolean mask; messages between other
-    pairs of hosts, or from the reference to itself, constrain nothing.
+    ``(sender, receiver)`` codes are ``(reference, machine)`` or the reverse;
+    messages between other pairs of hosts, or from the reference to itself,
+    constrain nothing.
     """
     table = SyncTable.of(messages)
-    sender = np.asarray(table.sender)
-    receiver = np.asarray(table.receiver)
-    send_time = np.asarray(table.send_time)
-    receive_time = np.asarray(table.receive_time)
-    reference_code = table.code(reference)
-    from_reference = sender == reference_code
-    to_reference = receiver == reference_code
+    upper, lower = _constraint_lines(table, reference)
     bounds: dict[str, ClockBounds] = {}
     for machine in machines:
         if machine == reference:
             bounds[machine] = ClockBounds.identity()
             continue
         code = table.code(machine)
-        upper = from_reference & (receiver == code)
-        lower = to_reference & (sender == code)
-        upper_send, lower_send = send_time[upper], send_time[lower]
-        if not len(upper_send) and not len(lower_send):
+        upper_lines, lower_lines = upper.get(code, []), lower.get(code, [])
+        if not upper_lines and not lower_lines:
             raise ClockSynchronizationError(
                 f"no synchronization messages between {machine!r} and reference {reference!r}"
             )
-        bounds[machine] = _solve_lines(
-            upper_send, receive_time[upper], lower_send, receive_time[lower], machine
-        )
+        bounds[machine] = _solve_lines(upper_lines, lower_lines, machine)
     return bounds
 
 
@@ -551,28 +624,26 @@ def envelope_rows(
     reproduces bit for bit from their own lines.  So for the same
     ``machines`` and ``reference`` the kept table gives the whole table's
     bounds and vertices (or its very error), and keeping is idempotent.
-    Of duplicate or equal-slope lines the first in ``lexsort`` order is
-    kept; the host pool is kept whole, so every code keeps its meaning.
+    Of duplicate or equal-slope lines the first in table order is kept;
+    the host pool is kept whole, so every code keeps its meaning.
     """
     table = SyncTable.of(messages)
-    sender = np.asarray(table.sender)
-    receiver = np.asarray(table.receiver)
-    send_time = np.asarray(table.send_time)
-    receive_time = np.asarray(table.receive_time)
-    reference_code = table.code(reference)
-    from_reference = sender == reference_code
-    to_reference = receiver == reference_code
-    keep = np.zeros(len(table), dtype=bool)
+    upper, lower = _constraint_lines(table, reference)
+    kept: set[int] = set()
     for machine in machines:
         if machine == reference:
             continue
         code = table.code(machine)
-        upper = np.flatnonzero(from_reference & (receiver == code))
-        lower = np.flatnonzero(to_reference & (sender == code))
-        keep[upper[_min_envelope(-send_time[upper], receive_time[upper])[2]]] = True
-        keep[lower[_min_envelope(receive_time[lower], -send_time[lower])[2]]] = True
+        for lines in (upper.get(code), lower.get(code)):
+            if lines:
+                kept.update(_min_envelope(lines)[2])
+    rows = np.array(sorted(kept), dtype=np.intp)
     return SyncTable(
-        list(table.hosts), sender[keep], receiver[keep], send_time[keep], receive_time[keep]
+        list(table.hosts),
+        *(
+            np.asarray(column)[rows]
+            for column in (table.sender, table.receiver, table.send_time, table.receive_time)
+        ),
     )
 
 

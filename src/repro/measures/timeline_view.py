@@ -92,36 +92,30 @@ class TimelineView:
         if time_policy not in TIME_POLICIES:
             raise MeasureError(f"unknown time policy {time_policy!r}; expected one of {TIME_POLICIES}")
 
-        def collapse(entry) -> float:
-            if time_policy == "lower":
-                return entry.lower
-            if time_policy == "upper":
-                return entry.upper
-            return entry.midpoint
-
-        state_intervals: dict[str, dict[str, list[tuple[float, float]]]] = defaultdict(
-            lambda: defaultdict(list)
-        )
-        events: dict[str, list[tuple[str, str, float]]] = defaultdict(list)
+        state_intervals: dict[str, dict[str, list[tuple[float, float]]]] = {}
+        events: dict[str, list[tuple[str, str, float]]] = {}
         start = timeline.start
         end = timeline.horizon
         for machine in timeline.machines():
             changes = timeline.state_changes(machine)
+            if time_policy == "midpoint":
+                times = [change.midpoint for change in changes]
+            else:
+                times = [getattr(change, time_policy) for change in changes]
+            intervals: dict[str, list[tuple[float, float]]] = {}
+            occurrences: list[tuple[str, str, float]] = []
             previous_state = INITIAL_STATE
             previous_time = start
-            for change in changes:
-                time = collapse(change)
-                state_intervals[machine][previous_state].append((previous_time, time))
-                events[machine].append((previous_state, change.event, time))
+            for change, time in zip(changes, times):
+                intervals.setdefault(previous_state, []).append((previous_time, time))
+                occurrences.append((previous_state, change.event, time))
                 previous_state = change.new_state
                 previous_time = time
-            state_intervals[machine][previous_state].append((previous_time, end))
-        return cls(
-            state_intervals={m: dict(states) for m, states in state_intervals.items()},
-            events=dict(events),
-            start=start,
-            end=end,
-        )
+            intervals.setdefault(previous_state, []).append((previous_time, end))
+            state_intervals[machine] = intervals
+            if occurrences:
+                events[machine] = occurrences
+        return cls(state_intervals=state_intervals, events=events, start=start, end=end)
 
     @classmethod
     def from_rows(

@@ -19,8 +19,8 @@ the very same :func:`~repro.store.format.result_to_dict` mapping the JSONL
 codec uses, so the two codecs are bit-exact against each other by
 construction: floats in the tables are raw IEEE-754 doubles, floats in the
 meta line round-trip through ``repr`` exactly as in JSONL.  The record
-table is filled from (and read back into) ``result_to_dict``'s rows; the
-sync table is the experiment's :class:`~repro.analysis.clock_sync.SyncTable`
+table is filled from ``result_to_dict``'s rows and read back straight
+into :class:`~repro.core.timeline.TimelineRecord` tuples; the sync table is the experiment's :class:`~repro.analysis.clock_sync.SyncTable`
 column for column — written from its arrays, read back as views of the
 block's bytes — and never passes through per-message rows or objects.
 
@@ -49,12 +49,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Any
 
 from repro.analysis.clock_sync import SyncTable
 from repro.core.campaign import ExperimentResult
+from repro.core.timeline import make_record
 from repro.errors import StoreError, StoreIntegrityError
-from repro.store.format import result_from_dict, result_to_dict
+from repro.store.format import RECORD_KINDS, result_from_dict, result_to_dict
 
 try:  # numpy is a hard dependency of the simulator, but probe anyway
     import numpy as _np
@@ -220,24 +222,39 @@ def decode_block(header: dict[str, Any], payload: bytes) -> ExperimentResult:
         _check_codes(records, "host", "fault", 0, len(pool))
         _check_codes(sync, "sender", "receiver", 1, len(pool))
         # .tolist() materializes native Python ints/floats in one C pass per
-        # column — the vectorized half of the decode; the Python half is the
-        # row rebuild.
-        rows = [
-            [kind, time, pool[host], pool[event], pool[state], pool[fault]]
-            for kind, time, host, event, state, fault in zip(
-                *(records[name].tolist() for name, _ in RECORD_DTYPE_FIELDS)
-            )
+        # column and every later step maps or zips whole columns in C: the
+        # records are built straight from the columns, with no row lists.
+        kind, time, host, event, state, fault = [
+            records[name].tolist() for name, _ in RECORD_DTYPE_FIELDS
         ]
-        cursor = 0
+        strings = pool.__getitem__
+        built = list(
+            map(
+                make_record,
+                zip(
+                    map(RECORD_KINDS.__getitem__, kind),
+                    time,
+                    map(strings, host),
+                    map(strings, event),
+                    map(strings, state),
+                    map(strings, fault),
+                    repeat(None),
+                ),
+            )
+        )
         # Sorted explicitly rather than trusting the meta line's key order:
         # the concatenation order is part of the format, not of the JSON.
-        for machine in sorted(meta["local_timelines"]):
-            timeline = meta["local_timelines"][machine]
-            stop = cursor + timeline.pop("record_count")
-            timeline["records"] = rows[cursor:stop]
-            cursor = stop
+        timelines = meta["local_timelines"]
+        machines = sorted(timelines)
+        counts = [timelines[machine].pop("record_count") for machine in machines]
+        for machine in machines:
+            timelines[machine]["records"] = ()
         meta["sync_messages"] = ()
         result = result_from_dict(meta)
+        cursor = 0
+        for machine, count in zip(machines, counts):
+            result.local_timelines[machine].records = built[cursor : cursor + count]
+            cursor += count
         # The sync table stays four column views of the block's bytes,
         # coded against the block pool.
         result.sync_messages = SyncTable(

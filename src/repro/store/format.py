@@ -39,7 +39,7 @@ from repro.core.specs.fault_spec import (
     FaultSpecification,
     FaultTrigger,
 )
-from repro.core.timeline import LocalTimeline, RecordKind, TimelineRecord
+from repro.core.timeline import LocalTimeline, RecordKind, make_record
 from repro.errors import SpecificationError, StoreIntegrityError
 from repro.sim.clock import ClockParameters
 from repro.sim.topology import NetworkFaultSpec
@@ -57,7 +57,7 @@ READABLE_FORMAT_VERSIONS = frozenset({1, RECORD_FORMAT_VERSION})
 #: Value-to-member table for the record-kind column.  ``RecordKind(value)``
 #: goes through the enum metaclass on every call, which dominates decoding
 #: a million-row record table; a plain dict lookup does not.
-_RECORD_KINDS = {kind.value: kind for kind in RecordKind}
+RECORD_KINDS = {kind.value: kind for kind in RecordKind}
 
 
 def _canonical(payload: dict[str, Any]) -> str:
@@ -139,11 +139,12 @@ def timeline_from_dict(data: dict[str, Any]) -> LocalTimeline:
         notes=list(data["notes"]),
     )
     # The record table dominates campaign-scale decode time, so this loop
-    # stays lean: bound locals, dict kind lookup, positional construction.
-    append = timeline.records.append
-    kinds = _RECORD_KINDS
-    for kind, time, host, event, new_state, fault in data["records"]:
-        append(TimelineRecord(kinds[kind], time, host, event, new_state, fault))
+    # stays lean: dict kind lookup, records built as plain tuples.
+    kinds = RECORD_KINDS
+    timeline.records = [
+        make_record((kinds[kind], time, host, event, new_state, fault, None))
+        for kind, time, host, event, new_state, fault in data["records"]
+    ]
     return timeline
 
 

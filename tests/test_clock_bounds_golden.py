@@ -10,8 +10,9 @@ and of every polygon vertex returned by ``estimate_clock_bounds``.
 
 The LP cross-check of ``test_clock_sync_geometry.py`` only agrees to 1e-9
 and the end-to-end digests cover four scenarios; this file is what says the
-columnar input side (boolean masks, ``numpy.lexsort``, one hull sweep)
-feeds the sweep the very same lines in the very same order.  To pin a new
+columnar input side (one ``.tolist()`` pass grouping each machine's rows,
+lines ordered by sorted ``(-slope, intercept, row)`` triples, one hull
+sweep) feeds the sweep the very same lines in the very same order.  To pin a new
 scenario, record the same values for it with the solver as it stands.
 
 ``tests/data/runtime_golden.json`` pins the raw runtime output of the same

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
 import pytest
 
 from repro.analysis.clock_sync import (
@@ -124,7 +123,7 @@ def check_bounds_contain_truth(messages: list[SyncMessageRecord], offset, drift_
 
 
 def reference_min_envelope(lines):
-    """The list-of-tuples sweep the columnar ``_min_envelope`` replaced (the oracle)."""
+    """The set-deduplicating list-of-tuples sweep of the original solver (the oracle)."""
     ordered = sorted(set(lines), key=lambda line: (-line[0], line[1]))
     filtered = []
     for slope, intercept in ordered:
@@ -149,6 +148,11 @@ def reference_min_envelope(lines):
     return hull, cuts
 
 
+def triples(slopes, intercepts):
+    """Lines in ``_min_envelope``'s input form: ``(-slope, intercept, row)``."""
+    return [(-slope, intercept, row) for row, (slope, intercept) in enumerate(zip(slopes, intercepts))]
+
+
 def check_envelope_matches_tuple_sweep(seed: int, count: int) -> None:
     """Same hull and cuts, bit for bit, on lines rich in ties and repeats."""
     rng = random.Random(seed)
@@ -158,7 +162,7 @@ def check_envelope_matches_tuple_sweep(seed: int, count: int) -> None:
         for _ in range(count)
     ]
     intercepts = [rng.choice((-1.0, 0.0, 0.125, rng.uniform(-1, 1))) for _ in range(count)]
-    hull, cuts, rows = _min_envelope(np.array(slopes), np.array(intercepts))
+    hull, cuts, rows = _min_envelope(triples(slopes, intercepts))
     assert (hull, cuts) == reference_min_envelope(list(zip(slopes, intercepts)))
     # Each active line comes with the input index of its first copy.
     lines = list(zip(slopes, intercepts))
@@ -264,7 +268,7 @@ class TestColumnarInputSide:
 
     def test_signed_zero_slopes_are_one_run(self):
         # 0.0 and -0.0 are the same slope: one line survives, the lower one.
-        hull, cuts, rows = _min_envelope(np.array([0.0, -0.0, 1.0]), np.array([2.0, 1.0, 0.0]))
+        hull, cuts, rows = _min_envelope(triples([0.0, -0.0, 1.0], [2.0, 1.0, 0.0]))
         assert (hull, cuts) == reference_min_envelope([(0.0, 2.0), (-0.0, 1.0), (1.0, 0.0)])
         assert hull == [(1.0, 0.0), (0.0, 1.0)]
         assert rows == [2, 1]
@@ -378,7 +382,45 @@ class TestDegenerateEquivalence:
 # ---------------------------------------------------------------------------
 
 
+def reference_dedupe_vertices(points, tolerance=1e-9):
+    """The O(k^2) dedup that compares each point with every kept one (the oracle)."""
+    kept = []
+    for alpha, beta in sorted(points, key=lambda point: (point[1], point[0])):
+        if not any(
+            abs(alpha - kept_alpha) <= tolerance * max(1.0, abs(alpha), abs(kept_alpha))
+            and abs(beta - kept_beta) <= tolerance * max(1.0, abs(beta), abs(kept_beta))
+            for kept_alpha, kept_beta in kept
+        ):
+            kept.append((alpha, beta))
+    return tuple(kept)
+
+
+def dedupe_cloud(seed: int) -> list[tuple[float, float]]:
+    """Clustered points: near and exact duplicates, betas from -1e3 to 1e3."""
+    rng = random.Random(seed)
+    scale = rng.choice((1e-3, 1.0, 1e3))
+    points = []
+    for _ in range(rng.randrange(1, 8)):
+        alpha, beta = rng.uniform(-scale, scale), rng.uniform(-scale, scale)
+        for _ in range(rng.randrange(1, 6)):
+            noise = rng.choice((0.0, 1e-13, 1e-10, 1e-9, 2e-9, 1e-6))
+            points.append(
+                (
+                    alpha + rng.uniform(-noise, noise) * max(1.0, abs(alpha)),
+                    beta + rng.uniform(-noise, noise) * max(1.0, abs(beta)),
+                )
+            )
+    points += rng.sample(points, rng.randrange(len(points) + 1))  # exact repeats
+    rng.shuffle(points)
+    return points
+
+
 class TestVertexDedup:
+    def test_dedupe_matches_the_quadratic_oracle(self):
+        for seed in range(300):
+            points = dedupe_cloud(seed)
+            assert _dedupe_vertices(points) == reference_dedupe_vertices(points), seed
+
     def test_near_duplicate_vertices_are_merged(self):
         points = [
             (0.001, 1.0),

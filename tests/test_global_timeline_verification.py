@@ -1,5 +1,7 @@
 """Tests for global-timeline construction and injection verification."""
 
+import math
+
 import pytest
 
 from repro.analysis.clock_sync import ClockBounds
@@ -129,6 +131,24 @@ class TestGlobalTimelineConstruction:
                 machine="m", kind=GlobalEventKind.STATE_CHANGE,
                 lower=2.0, upper=1.0, host="h", local_time=1.5,
             )
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)],
+    )
+    def test_non_finite_entry_bounds_rejected(self, lower, upper):
+        with pytest.raises(AnalysisError, match="not finite"):
+            GlobalTimelineEntry(
+                machine="m", kind=GlobalEventKind.STATE_CHANGE,
+                lower=lower, upper=upper, host="h", local_time=0.5,
+            )
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_record_at_non_finite_time_rejected(self, time):
+        timeline = LocalTimeline(machine="m", global_states=("A",), events=("e",))
+        timeline.add_state_change("e", "A", time=time, host="hosta")
+        with pytest.raises(AnalysisError, match="not finite"):
+            build_global_timeline({"m": timeline}, {"hosta": bounds_with_uncertainty(0.001)})
 
     def test_empty_timeline_properties(self):
         timeline = GlobalTimeline()

@@ -15,6 +15,7 @@ import gc
 import hashlib
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -552,3 +553,48 @@ class TestColumnarStore:
             resumed = run_and_analyze(campaign, store=store)
         assert len(simulated) == 3
         assert campaign_measures_of(resumed) == baseline
+
+
+class TestReadPathCallBudget:
+    """The re-analysis read path builds its records without per-record frames."""
+
+    #: Python frames entered (``sys.setprofile`` ``call`` events, generator
+    #: resumptions included) by decode + ``analyze_experiment`` +
+    #: ``TimelineView.from_global_timeline`` of the first block below: 471
+    #: when records, entries and state periods were frozen dataclasses and
+    #: the envelopes were evaluated by bisection at every beta; 162 since.
+    BUDGET = 178
+
+    def test_decode_analyse_and_view_stay_within_call_budget(self):
+        from test_parent_archive import ARCHIVE, parent_campaign
+
+        from repro.measures import TimelineView
+        from repro.pipeline import analyze_experiment
+
+        path = ARCHIVE / "store" / "records" / "raft-election-partition-bce49f7e.columnar"
+        data = path.read_bytes()
+        header_end = data.index(b"\n", len(MAGIC_LINE)) + 1
+        header = json.loads(data[len(MAGIC_LINE) : header_end])
+        payload = data[header_end : header_end + header["length"]]
+        faults = {study.name: study.fault_specifications() for study in parent_campaign().studies}
+
+        def read() -> TimelineView:
+            result = decode_block(header, payload)
+            analyzed = analyze_experiment(result, faults[result.study])
+            return TimelineView.from_global_timeline(analyzed.global_timeline)
+
+        read()  # warm the decoder's per-study fault-specification cache
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            view = read()
+        finally:
+            sys.setprofile(None)
+        assert view.machines()
+        assert calls <= self.BUDGET
