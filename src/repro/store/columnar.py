@@ -247,6 +247,8 @@ def decode_block(header: dict[str, Any], payload: bytes) -> ExperimentResult:
         timelines = meta["local_timelines"]
         machines = sorted(timelines)
         counts = [timelines[machine].pop("record_count") for machine in machines]
+        # result_from_dict rebuilds every timeline but its records, which
+        # are the machine's slice of the records built above.
         for machine in machines:
             timelines[machine]["records"] = ()
         meta["sync_messages"] = ()
