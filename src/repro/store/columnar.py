@@ -20,9 +20,10 @@ codec uses, so the two codecs are bit-exact against each other by
 construction: floats in the tables are raw IEEE-754 doubles, floats in the
 meta line round-trip through ``repr`` exactly as in JSONL.  The record
 table is filled from ``result_to_dict``'s rows and read back straight
-into :class:`~repro.core.timeline.TimelineRecord` tuples; the sync table is the experiment's :class:`~repro.analysis.clock_sync.SyncTable`
-column for column — written from its arrays, read back as views of the
-block's bytes — and never passes through per-message rows or objects.
+into :class:`~repro.core.timeline.TimelineRecord` tuples; the sync table
+is the experiment's :class:`~repro.analysis.clock_sync.SyncTable` column
+for column — written from its arrays, read back as views of the block's
+bytes — and never passes through per-message rows or objects.
 
 On-disk layout of ``records/<slug>.columnar``::
 
@@ -52,16 +53,13 @@ from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Any
 
+import numpy as np
+
 from repro.analysis.clock_sync import SyncTable
 from repro.core.campaign import ExperimentResult
 from repro.core.timeline import make_record
 from repro.errors import StoreError, StoreIntegrityError
 from repro.store.format import RECORD_KINDS, result_from_dict, result_to_dict
-
-try:  # numpy is a hard dependency of the simulator, but probe anyway
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None  # type: ignore[assignment]
 
 #: Version stamp embedded in every block header; bumped on any change that
 #: an old reader could misinterpret.
@@ -84,6 +82,7 @@ RECORD_DTYPE_FIELDS = [
     ("state", "<i4"),
     ("fault", "<i4"),
 ]
+_RECORD_DTYPE = np.dtype(RECORD_DTYPE_FIELDS)
 
 #: The sync-message table: one row per synchronization message.
 SYNC_DTYPE_FIELDS = [
@@ -92,15 +91,7 @@ SYNC_DTYPE_FIELDS = [
     ("send_time", "<f8"),
     ("receive_time", "<f8"),
 ]
-
-
-def _require_numpy() -> Any:
-    if _np is None:  # pragma: no cover - numpy is a baked-in dependency
-        raise StoreError(
-            "the columnar store codec requires numpy; install it or use the "
-            "'jsonl' codec"
-        )
-    return _np
+_SYNC_DTYPE = np.dtype(SYNC_DTYPE_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +113,6 @@ def encode_block(result: ExperimentResult) -> bytes:
     into the block pool, hosts interned in first-use order (sender before
     receiver, message by message).
     """
-    np = _require_numpy()
     table = SyncTable.of(result.sync_messages)
     meta = result_to_dict(replace(result, sync_messages=SyncTable()))
     pool: dict[str | None, int] = {None: 0}
@@ -151,8 +141,8 @@ def encode_block(result: ExperimentResult) -> bytes:
     meta["sync_messages"] = len(table)
     meta["pool"] = list(pool)
 
-    records = np.array(record_rows, dtype=np.dtype(RECORD_DTYPE_FIELDS))
-    sync = np.empty(len(table), dtype=np.dtype(SYNC_DTYPE_FIELDS))
+    records = np.array(record_rows, dtype=_RECORD_DTYPE)
+    sync = np.empty(len(table), dtype=_SYNC_DTYPE)
     sync["sender"], sync["receiver"] = pool_code[sender], pool_code[receiver]
     sync["send_time"], sync["receive_time"] = table.send_time, table.receive_time
     meta_line = json.dumps(meta, sort_keys=True, separators=(",", ":"))
@@ -198,25 +188,22 @@ def decode_block(header: dict[str, Any], payload: bytes) -> ExperimentResult:
             f"unknown columnar engine {header.get('engine')!r} in block header"
         )
     try:
-        np = _require_numpy()
         meta_line, _, body = payload.partition(b"\n")
         meta = json.loads(meta_line)
         pool = meta.pop("pool")
-        record_dtype = np.dtype(RECORD_DTYPE_FIELDS)
-        sync_dtype = np.dtype(SYNC_DTYPE_FIELDS)
         record_count = sum(
             timeline["record_count"] for timeline in meta["local_timelines"].values()
         )
         sync_count = meta["sync_messages"]
-        split = record_count * record_dtype.itemsize
-        expected = split + sync_count * sync_dtype.itemsize
+        split = record_count * _RECORD_DTYPE.itemsize
+        expected = split + sync_count * _SYNC_DTYPE.itemsize
         if len(body) != expected:
             raise StoreIntegrityError(
                 f"columnar block body holds {len(body)} bytes where the meta "
                 f"line promises {expected}"
             )
-        records = np.frombuffer(body, dtype=record_dtype, count=record_count)
-        sync = np.frombuffer(body[split:], dtype=sync_dtype, count=sync_count)
+        records = np.frombuffer(body, dtype=_RECORD_DTYPE, count=record_count)
+        sync = np.frombuffer(body[split:], dtype=_SYNC_DTYPE, count=sync_count)
         # A negative code would index the pool from its end and an
         # oversized one would only fail when somebody reads the row.
         _check_codes(records, "host", "fault", 0, len(pool))

@@ -135,7 +135,7 @@ def timeline_from_dict(data: dict[str, Any]) -> LocalTimeline:
         state_machines=tuple(data["state_machines"]),
         global_states=tuple(data["global_states"]),
         events=tuple(data["events"]),
-        faults=_fault_specification(tuple(tuple(entry) for entry in data["faults"])),
+        faults=_fault_specification(tuple(map(tuple, data["faults"]))),
         notes=list(data["notes"]),
     )
     # The record table dominates campaign-scale decode time, so this loop

@@ -562,8 +562,8 @@ class TestReadPathCallBudget:
     #: resumptions included) by decode + ``analyze_experiment`` +
     #: ``TimelineView.from_global_timeline`` of the first block below: 471
     #: when records, entries and state periods were frozen dataclasses and
-    #: the envelopes were evaluated by bisection at every beta; 162 since.
-    BUDGET = 178
+    #: the envelopes were evaluated by bisection at every beta; 157 since.
+    BUDGET = 172
 
     def test_decode_analyse_and_view_stay_within_call_budget(self):
         from test_parent_archive import ARCHIVE, parent_campaign
