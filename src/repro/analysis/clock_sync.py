@@ -98,8 +98,9 @@ class SyncTable(Sequence[SyncMessageRecord]):
     The only in-program form of an experiment's messages: the runtime
     phase appends to it, it crosses the worker pipe as four arrays, the
     columnar store writes and reads its columns as they are, and
-    :func:`estimate_all_bounds` selects constraint lines from them with
-    boolean masks.  ``sender`` / ``receiver`` hold integer codes into
+    :func:`estimate_all_bounds` reads each column once with ``.tolist()``
+    and groups the rows into every machine's constraint lines in one pass
+    over them.  ``sender`` / ``receiver`` hold integer codes into
     ``hosts`` (which may list names no message uses — a table decoded from
     a store block keeps the block's whole string pool); ``send_time`` /
     ``receive_time`` are ``float64``.  Columns grow as :mod:`array` arrays

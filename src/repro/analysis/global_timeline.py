@@ -8,11 +8,12 @@ per-machine *state periods* — the intervals during which each machine was
 in each state — which both the injection-verification step and the measure
 layer consume.
 
-Entries and state periods are named tuples: every analysed experiment
-builds one entry per record, and a tuple is several times cheaper to build
-than a frozen dataclass.  A :class:`GlobalTimeline` sorts and indexes its
-entries once, when it is built; its ``entries`` list is fixed after that,
-and every query reads the index.
+A :class:`GlobalTimeline` holds its events as parallel per-field columns
+(tuples), sorted into timeline order and indexed by position once, when
+it is built.  Verification and the measure layer read the columns
+through that index.  :class:`GlobalTimelineEntry` and :class:`StatePeriod`
+tuples are views: they are built when ``entries``, a selector or
+``state_periods`` is asked for, and nothing keeps them.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import isfinite
-from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple
+from operator import attrgetter, itemgetter, le
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.analysis.clock_sync import ClockBounds
 from repro.core.specs.state_machine import INITIAL_STATE
@@ -63,11 +64,11 @@ class _EntryFields(NamedTuple):
 
 
 class GlobalTimelineEntry(_EntryFields):
-    """One event projected onto the reference clock.
+    """One event projected onto the reference clock: a view of a timeline row.
 
-    Calling the class checks that ``lower <= upper`` are finite;
-    :func:`build_global_timeline` checks the same and builds its entries
-    with ``tuple.__new__``.
+    Calling the class checks that ``lower <= upper`` are finite; a
+    :class:`GlobalTimeline` checks the same of its columns and builds its
+    entry views with ``tuple.__new__``.
     """
 
     __slots__ = ()
@@ -114,75 +115,88 @@ class StatePeriod(NamedTuple):
     entry: GlobalTimelineEntry
     exit: GlobalTimelineEntry | None
 
-    def certain_interval(self, horizon: float) -> tuple[float, float] | None:
-        """The interval during which the machine was *provably* in the state."""
-        start = self.entry.upper
-        end = self.exit.lower if self.exit is not None else horizon
-        if end < start:
-            return None
-        return start, end
-
-    def possible_interval(self, horizon: float) -> tuple[float, float]:
-        """The interval during which the machine *may* have been in the state."""
-        start = self.entry.lower
-        end = self.exit.upper if self.exit is not None else horizon
-        return start, max(start, end)
-
 
 # ``tuple.__new__`` bound to a class builds the same tuple as its generated
 # ``__new__`` (a Python function on CPython) without that frame.
 _make_entry = partial(tuple.__new__, GlobalTimelineEntry)
 _make_period = partial(tuple.__new__, StatePeriod)
-_machine_of = itemgetter(0)
-_lower_of = itemgetter(2)
-_upper_of = itemgetter(3)
 
+#: Attribute names of :attr:`GlobalTimeline.columns`, and their getter.
+_COLUMN_NAMES = GlobalTimelineEntry._fields
+_columns_of = attrgetter(*_COLUMN_NAMES)
 
-def _timeline_order(entry: GlobalTimelineEntry) -> tuple[float, float]:
-    """Sort key of the timeline: ``(midpoint, lower)``, without the properties."""
-    return 0.5 * (entry[2] + entry[3]), entry[2]
+#: The global kind of each local record kind.
+_GLOBAL_KINDS = {
+    RecordKind.STATE_CHANGE: GlobalEventKind.STATE_CHANGE,
+    RecordKind.FAULT_INJECTION: GlobalEventKind.FAULT_INJECTION,
+}
 
 
 @dataclass
 class GlobalTimeline:
     """All experiment events on a single reference-clock timeline.
 
-    Construction sorts ``entries`` by ``(midpoint, lower)`` and indexes
-    them once: the machines in first-appearance order, each machine's
-    state changes, the fault injections, and the global extent.  The list
-    is fixed after construction; every query reads that index.  State
-    periods are built the first time a machine's are asked for.
+    The events are nine parallel columns named after the
+    :class:`GlobalTimelineEntry` fields; position ``i`` of every column is
+    the timeline's ``i``-th event.  Construction checks that every
+    ``lower <= upper`` pair is finite, sorts the columns into tuples by
+    ``(midpoint, lower)`` (stable: events that tie keep the order they
+    were given in) and indexes them once by position: the machines in
+    first-appearance order, each machine's state changes, the fault
+    injections, and the global extent.  The columns are fixed after
+    construction; every query reads that index.  Entries and state
+    periods are views, built each time they are asked for.
     """
 
-    entries: list[GlobalTimelineEntry] = field(default_factory=list)
+    machine: Sequence[str] = ()
+    kind: Sequence[GlobalEventKind] = ()
+    lower: Sequence[float] = ()
+    upper: Sequence[float] = ()
+    host: Sequence[str] = ()
+    local_time: Sequence[float] = ()
+    event: Sequence[str | None] = ()
+    new_state: Sequence[str | None] = ()
+    fault: Sequence[str | None] = ()
     _start: float = field(init=False, repr=False, compare=False, default=0.0)
     _end: float = field(init=False, repr=False, compare=False, default=0.0)
-    _changes: dict[str, list[GlobalTimelineEntry]] = field(
+    _changes: dict[str, list[int]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    _injections: list[GlobalTimelineEntry] = field(
-        init=False, repr=False, compare=False, default_factory=list
-    )
-    _periods: dict[str, list[StatePeriod]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    _injections: list[int] = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self) -> None:
-        entries = self.entries
-        if not entries:
-            return
-        entries.sort(key=_timeline_order)
-        self._start = min(map(_lower_of, entries))
-        self._end = max(map(_upper_of, entries))
-        changes = {machine: [] for machine in dict.fromkeys(map(_machine_of, entries))}
+        columns, lower, upper = self.columns, self.lower, self.upper
+        if len(set(map(len, columns))) > 1:
+            raise AnalysisError("global timeline columns differ in length")
+        permute: Callable[[Sequence], tuple] = tuple
+        if lower:
+            self._start, self._end = min(lower), max(upper)
+            # ``le`` is false for a NaN, and an infinite bound makes the
+            # extent infinite, so one pass and the extent check everything.
+            if not (
+                all(map(le, lower, upper)) and -_INFINITY < self._start and self._end < _INFINITY
+            ):
+                for low, high in zip(lower, upper):
+                    if not -_INFINITY < low <= high < _INFINITY:
+                        _reject_bounds(low, high)
+        if len(lower) > 1:
+            keys = list(zip([0.5 * (low + high) for low, high in zip(lower, upper)], lower))
+            permute = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+        for name, column in zip(_COLUMN_NAMES, columns):
+            setattr(self, name, permute(column))
+        changes = self._changes = {machine: [] for machine in dict.fromkeys(self.machine)}
         injections = self._injections
         state_change = GlobalEventKind.STATE_CHANGE
-        for entry in entries:
-            if entry[1] is state_change:
-                changes[entry[0]].append(entry)
+        for position, (machine, kind) in enumerate(zip(self.machine, self.kind)):
+            if kind is state_change:
+                changes[machine].append(position)
             else:
-                injections.append(entry)
-        self._changes = changes
+                injections.append(position)
+
+    @property
+    def columns(self) -> tuple[Sequence, ...]:
+        """The event columns, in :class:`GlobalTimelineEntry` field order."""
+        return _columns_of(self)
 
     # -- global extent ----------------------------------------------------------
 
@@ -201,39 +215,61 @@ class GlobalTimeline:
         """A time safely after every event, used to close open state periods."""
         return self._end
 
-    # -- simple selectors ----------------------------------------------------------
+    # -- positions --------------------------------------------------------------------
 
     def machines(self) -> tuple[str, ...]:
         """All machines appearing on the timeline, in first-appearance order."""
         return tuple(self._changes)
 
-    def entries_for(self, machine: str) -> list[GlobalTimelineEntry]:
-        """All entries of one machine in timeline order."""
-        return [entry for entry in self.entries if entry.machine == machine]
+    def change_positions(self, machine: str) -> list[int]:
+        """Column positions of one machine's state changes, in timeline order."""
+        return list(self._changes.get(machine, ()))
+
+    def injection_positions(self, machine: str | None = None) -> list[int]:
+        """Column positions of the fault injections (of one machine, or all)."""
+        if machine is None:
+            return list(self._injections)
+        return [position for position in self._injections if self.machine[position] == machine]
+
+    def change_periods(self, machine: str) -> list[tuple[int, int | None]]:
+        """``(entry, exit)`` positions of one machine's state occupancies.
+
+        ``entry`` is the state change that entered the state; ``exit`` is
+        the next one, or ``None`` for the state the machine ended in.
+        """
+        changes = self._changes.get(machine, [])
+        return list(zip(changes, chain(islice(changes, 1, None), (None,))))
+
+    # -- entry views ---------------------------------------------------------------
+
+    @property
+    def entries(self) -> list[GlobalTimelineEntry]:
+        """Every event in timeline order, built from the columns."""
+        return list(map(_make_entry, zip(*self.columns)))
+
+    def entry(self, position: int) -> GlobalTimelineEntry:
+        """The event at one column position."""
+        return _make_entry(column[position] for column in self.columns)
 
     def state_changes(self, machine: str) -> list[GlobalTimelineEntry]:
         """State-change entries of one machine in timeline order."""
-        return list(self._changes.get(machine, ()))
+        return list(map(self.entry, self._changes.get(machine, ())))
 
     def fault_injections(self, machine: str | None = None) -> list[GlobalTimelineEntry]:
         """Fault-injection entries (of one machine, or of all machines)."""
-        if machine is None:
-            return list(self._injections)
-        return [entry for entry in self._injections if entry.machine == machine]
+        return list(map(self.entry, self.injection_positions(machine)))
 
     # -- state occupancy --------------------------------------------------------------
 
     def state_periods(self, machine: str) -> list[StatePeriod]:
         """The sequence of state occupancies of one machine."""
-        periods = self._periods.get(machine)
-        if periods is None:
-            changes = self._changes.get(machine, [])
-            exits = chain(islice(changes, 1, None), (None,))
-            periods = self._periods[machine] = [
-                _make_period((machine, change.new_state, change, exit_entry))
-                for change, exit_entry in zip(changes, exits)
-            ]
-        return list(periods)
+        entry, new_state = self.entry, self.new_state
+        return [
+            _make_period(
+                (machine, new_state[start], entry(start), None if stop is None else entry(stop))
+            )
+            for start, stop in self.change_periods(machine)
+        ]
 
     def state_periods_for_state(self, machine: str, state: str) -> list[StatePeriod]:
         """State occupancies of one machine restricted to one state."""
@@ -249,10 +285,10 @@ class GlobalTimeline:
         """
         occurrences: list[GlobalTimelineEntry] = []
         previous_state = INITIAL_STATE
-        for change in self._changes.get(machine, ()):
-            if change.event == event and (state is None or previous_state == state):
-                occurrences.append(change)
-            previous_state = change.new_state
+        for position in self._changes.get(machine, ()):
+            if self.event[position] == event and (state is None or previous_state == state):
+                occurrences.append(self.entry(position))
+            previous_state = self.new_state[position]
         return occurrences
 
 
@@ -274,9 +310,10 @@ def build_global_timeline(
     """Project all local timelines onto a single global timeline.
 
     Each record's bounds are the extremes of ``(time - alpha) / beta`` over
-    its host's projection corners, evaluated in one pass over the records
-    with plain floats.  A record whose bounds come out non-finite (a NaN
-    or infinite local time) is an :class:`AnalysisError`.
+    its host's projection corners, evaluated in one pass over each
+    timeline's time and host columns with plain floats; every other column
+    is carried over whole.  A record whose bounds come out non-finite (a
+    NaN or infinite local time) is an :class:`AnalysisError`.
 
     Parameters
     ----------
@@ -289,14 +326,19 @@ def build_global_timeline(
     if isinstance(local_timelines, Mapping):
         local_timelines = local_timelines.values()
     corners_by_host: dict[str, tuple[float, float, tuple[tuple[float, float], ...]]] = {}
-    entries: list[GlobalTimelineEntry] = []
-    append = entries.append
-    state_change_record = RecordKind.STATE_CHANGE
-    state_change = GlobalEventKind.STATE_CHANGE
-    fault_injection = GlobalEventKind.FAULT_INJECTION
+    columns: list[list] = [[] for _ in _COLUMN_NAMES]
+    machines, kinds, lowers, uppers, hosts, local_times, events, new_states, faults = columns
+    append_lower, append_upper = lowers.append, uppers.append
     for timeline in local_timelines:
         machine = timeline.machine
-        for kind, time, host, event, new_state, fault, _ in timeline.records:
+        machines += repeat(machine, len(timeline.time))
+        kinds += map(_GLOBAL_KINDS.__getitem__, timeline.kind)
+        hosts += timeline.host
+        local_times += timeline.time
+        events += timeline.event
+        new_states += timeline.new_state
+        faults += timeline.fault
+        for time, host in zip(timeline.time, timeline.host):
             corners = corners_by_host.get(host)
             if corners is None:
                 corners = corners_by_host[host] = _projection_corners(
@@ -310,21 +352,6 @@ def build_global_timeline(
                     lower = value
                 elif value > upper:
                     upper = value
-            if not -_INFINITY < lower <= upper < _INFINITY:
-                _reject_bounds(lower, upper)
-            append(
-                _make_entry(
-                    (
-                        machine,
-                        state_change if kind is state_change_record else fault_injection,
-                        lower,
-                        upper,
-                        host,
-                        time,
-                        event,
-                        new_state,
-                        fault,
-                    )
-                )
-            )
-    return GlobalTimeline(entries=entries)
+            append_lower(lower)
+            append_upper(upper)
+    return GlobalTimeline(*columns)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.analysis.global_timeline import GlobalTimeline, GlobalTimelineEntry
+from repro.analysis.global_timeline import GlobalTimeline
 from repro.analysis.intervals import IntervalSet
 from repro.core.expression import And, Expression, Not, Or, StateAtom
 from repro.core.specs.fault_spec import FaultSpecification
@@ -36,14 +36,27 @@ class ExpressionRegions:
 
 
 def atom_regions(timeline: GlobalTimeline, atom: StateAtom, horizon: float) -> ExpressionRegions:
-    """Certainly/possibly-true regions of a single ``(machine:state)`` atom."""
+    """Certainly/possibly-true regions of a single ``(machine:state)`` atom.
+
+    A period of the state is certain from its entry's upper bound to its
+    exit's lower bound (when that interval is not empty) and possible
+    from its entry's lower bound to its exit's upper bound; an open
+    period ends at ``horizon``.
+    """
+    lower, upper, new_state = timeline.lower, timeline.upper, timeline.new_state
     certain_pairs: list[tuple[float, float]] = []
     possible_pairs: list[tuple[float, float]] = []
-    for period in timeline.state_periods_for_state(atom.machine, atom.state):
-        certain = period.certain_interval(horizon)
-        if certain is not None:
-            certain_pairs.append(certain)
-        possible_pairs.append(period.possible_interval(horizon))
+    for entry, exit_ in timeline.change_periods(atom.machine):
+        if new_state[entry] != atom.state:
+            continue
+        if exit_ is None:
+            certain_end = possible_end = horizon
+        else:
+            certain_end, possible_end = lower[exit_], upper[exit_]
+        certain_start, possible_start = upper[entry], lower[entry]
+        if certain_end >= certain_start:
+            certain_pairs.append((certain_start, certain_end))
+        possible_pairs.append((possible_start, max(possible_start, possible_end)))
     return ExpressionRegions(
         certain=IntervalSet.from_pairs(certain_pairs),
         possible=IntervalSet.from_pairs(possible_pairs),
@@ -80,7 +93,7 @@ def expression_regions(
 
 
 def _same_machine_atom_status(
-    timeline: GlobalTimeline, atom: StateAtom, injection: GlobalTimelineEntry
+    timeline: GlobalTimeline, atom: StateAtom, injection: int
 ) -> bool | None:
     """Exact truth of an atom about the machine the fault was injected into.
 
@@ -91,20 +104,22 @@ def _same_machine_atom_status(
     way; ``None`` is returned and the caller falls back to the conservative
     interval check.
     """
+    host, local_time = timeline.host, timeline.local_time
+    injection_host, injected_at = host[injection], local_time[injection]
     # When the injection shares its timestamp with a state change of the
     # same machine, the recorder order guarantees the state change happened
     # first, so the state in force at the injection is the one entered most
     # recently: keep the *last* matching period.
     matched_state: str | None = None
-    for period in timeline.state_periods(atom.machine):
-        if period.entry.host != injection.host:
+    for entry, exit_ in timeline.change_periods(atom.machine):
+        if host[entry] != injection_host:
             continue
-        if period.exit is not None and period.exit.host != injection.host:
+        if exit_ is not None and host[exit_] != injection_host:
             continue
-        entered = period.entry.local_time <= injection.local_time
-        not_exited = period.exit is None or injection.local_time <= period.exit.local_time
+        entered = local_time[entry] <= injected_at
+        not_exited = exit_ is None or injected_at <= local_time[exit_]
         if entered and not_exited:
-            matched_state = period.state
+            matched_state = timeline.new_state[entry]
     if matched_state is None:
         return None
     return matched_state == atom.state
@@ -113,7 +128,7 @@ def _same_machine_atom_status(
 def _atom_status(
     timeline: GlobalTimeline,
     atom: StateAtom,
-    injection: GlobalTimelineEntry,
+    injection: int,
     horizon: float,
     region_cache: dict[StateAtom, ExpressionRegions],
 ) -> bool | None:
@@ -122,18 +137,17 @@ def _atom_status(
     ``True`` means provably true, ``False`` provably false, ``None``
     unknown (the conservative verdict).
     """
-    if atom.machine == injection.machine:
+    if atom.machine == timeline.machine[injection]:
         local = _same_machine_atom_status(timeline, atom, injection)
         if local is not None:
             return local
     if atom not in region_cache:
         region_cache[atom] = atom_regions(timeline, atom, horizon)
     regions = region_cache[atom]
-    if regions.certain.contains_interval(injection.lower, injection.upper):
+    lower, upper = timeline.lower[injection], timeline.upper[injection]
+    if regions.certain.contains_interval(lower, upper):
         return True
-    overlap = regions.possible.intersection(
-        IntervalSet.from_pairs([(injection.lower, injection.upper)])
-    )
+    overlap = regions.possible.intersection(IntervalSet.from_pairs([(lower, upper)]))
     if overlap.is_empty:
         return False
     return None
@@ -142,11 +156,14 @@ def _atom_status(
 def expression_status_at_injection(
     timeline: GlobalTimeline,
     expression: Expression,
-    injection: GlobalTimelineEntry,
+    injection: int,
     horizon: float,
     region_cache: dict[StateAtom, ExpressionRegions] | None = None,
 ) -> bool | None:
-    """Three-valued evaluation of a fault expression at an injection."""
+    """Three-valued evaluation of a fault expression at an injection.
+
+    ``injection`` is the injection's column position on ``timeline``.
+    """
     cache: dict[StateAtom, ExpressionRegions] = region_cache if region_cache is not None else {}
     if isinstance(expression, StateAtom):
         return _atom_status(timeline, expression, injection, horizon, cache)
@@ -178,7 +195,9 @@ class InjectionVerdict:
 
     machine: str
     fault: str
-    injection: GlobalTimelineEntry
+    #: The injection's column position on the experiment's global timeline
+    #: (``timeline.entry(position)`` is its entry).
+    position: int
     correct: bool
     reason: str
 
@@ -231,49 +250,38 @@ def verify_experiment(
     verification = ExperimentVerification()
     horizon = timeline.horizon
     atom_cache: dict[StateAtom, ExpressionRegions] = {}
+    machines, faults = timeline.machine, timeline.fault
 
-    for injection in timeline.fault_injections():
-        specification = fault_specifications.get(injection.machine)
-        definition = specification.get(injection.fault) if specification is not None else None
+    for position in timeline.injection_positions():
+        machine, fault = machines[position], faults[position]
+        specification = fault_specifications.get(machine)
+        definition = specification.get(fault) if specification is not None else None
         if definition is None:
-            verification.verdicts.append(
-                InjectionVerdict(
-                    machine=injection.machine,
-                    fault=injection.fault,
-                    injection=injection,
-                    correct=False,
-                    reason=f"fault {injection.fault!r} is not in the fault specification "
-                    f"of machine {injection.machine!r}",
-                )
-            )
-            continue
-        status = expression_status_at_injection(
-            timeline, definition.expression, injection, horizon, atom_cache
-        )
-        if status is True:
-            verdict = InjectionVerdict(
-                machine=injection.machine,
-                fault=injection.fault,
-                injection=injection,
-                correct=True,
-                reason="injection provably occurred in the intended global state",
+            correct = False
+            reason = (
+                f"fault {fault!r} is not in the fault specification of machine {machine!r}"
             )
         else:
-            verdict = InjectionVerdict(
-                machine=injection.machine,
-                fault=injection.fault,
-                injection=injection,
-                correct=False,
-                reason=(
-                    "injection provably occurred outside the intended global state"
-                    if status is False
-                    else "injection cannot be proven to lie inside the intended global state"
-                ),
+            status = expression_status_at_injection(
+                timeline, definition.expression, position, horizon, atom_cache
             )
-        verification.verdicts.append(verdict)
+            correct = status is True
+            if correct:
+                reason = "injection provably occurred in the intended global state"
+            elif status is False:
+                reason = "injection provably occurred outside the intended global state"
+            else:
+                reason = "injection cannot be proven to lie inside the intended global state"
+        verification.verdicts.append(
+            InjectionVerdict(
+                machine=machine, fault=fault, position=position, correct=correct, reason=reason
+            )
+        )
 
     if require_all_faults:
-        injected = {(entry.machine, entry.fault) for entry in timeline.fault_injections()}
+        injected = {
+            (machines[position], faults[position]) for position in timeline.injection_positions()
+        }
         for machine, specification in fault_specifications.items():
             for definition in specification:
                 if (machine, definition.name) not in injected:

@@ -190,6 +190,14 @@ class ExperimentResult:
         """Nicknames of the machines that produced timelines."""
         return tuple(self.local_timelines)
 
+    def slimmed(self) -> "ExperimentResult":
+        """This result without its raw ``local_timelines`` / ``sync_messages``.
+
+        What the pipeline keeps of an experiment once its analysis has
+        consumed the raw payload.
+        """
+        return replace(self, local_timelines={}, sync_messages=SyncTable())
+
 
 @dataclass
 class StudyResult:

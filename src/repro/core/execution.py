@@ -57,10 +57,9 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from repro.analysis.clock_sync import SyncTable
 from repro.errors import ExecutionInterrupted, RuntimeConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -265,7 +264,7 @@ def run_and_analyze_experiment(
     result = runner.run_experiment_of(study, index)
     analyzed = analyze_experiment(result, study.fault_specifications())
     if not keep_raw_results:
-        analyzed.result = replace(result, local_timelines={}, sync_messages=SyncTable())
+        analyzed.result = result.slimmed()
     return analyzed
 
 
@@ -384,9 +383,7 @@ class ExperimentExecutor:
 
         def slim(analyzed) -> None:
             if not keep_raw:
-                analyzed.result = replace(
-                    analyzed.result, local_timelines={}, sync_messages=SyncTable()
-                )
+                analyzed.result = analyzed.result.slimmed()
 
         def sink(study_index: int, experiment_index: int, analyzed):
             analyzed.result = store.append(analyzed.result)

@@ -5,6 +5,12 @@ During the runtime phase the recorder of every node appends records to a
 stamped with the local hardware clock.  The analysis phase later projects
 the local timelines onto a single global timeline.
 
+In memory a :class:`LocalTimeline` holds its records as parallel
+per-field columns (plain lists), not as one object per record: the
+recorder appends to the columns, the store codecs fill them whole, and the
+analysis phase reads them.  :class:`TimelineRecord` tuples exist only as
+views, built when :attr:`LocalTimeline.records` or a selector is asked for.
+
 The on-disk format follows the paper: the header lists the state machines,
 global states, events, and faults together with integer indices, and the
 timeline section uses those indices plus 64-bit timestamps split into two
@@ -23,6 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 from repro.core.specs.fault_spec import (
@@ -46,7 +53,7 @@ class RecordKind(enum.IntEnum):
 
 
 class TimelineRecord(NamedTuple):
-    """One record of a local timeline.
+    """One record of a local timeline, as a view of the timeline's columns.
 
     ``time`` is the local hardware-clock reading in seconds.  ``host`` is
     the host the record was produced on (needed for clock synchronization
@@ -54,9 +61,8 @@ class TimelineRecord(NamedTuple):
     ``event``/``new_state`` (for state changes) or ``fault`` (for fault
     injections) is populated, depending on ``kind``.
 
-    A named tuple rather than a frozen dataclass: every decoded or recorded
-    experiment builds one per record, and a tuple is several times cheaper
-    to build.
+    A :class:`LocalTimeline` keeps no records: it builds these when its
+    :attr:`~LocalTimeline.records` (or a selector) is asked for.
     """
 
     kind: RecordKind
@@ -83,26 +89,59 @@ make_record = partial(tuple.__new__, TimelineRecord)
 
 @dataclass
 class LocalTimeline:
-    """The recorder output of one state machine for one experiment."""
+    """The recorder output of one state machine for one experiment.
+
+    The records are six parallel columns, one entry per record in
+    recording order, named after the :class:`TimelineRecord` fields:
+    ``kind`` (:class:`RecordKind` members), ``time``, ``host``, ``event``,
+    ``new_state`` and ``fault`` (``None`` where a record kind has no
+    value).  The recorder appends to them and the store codecs fill them
+    whole; :attr:`records` and the selectors build record views.
+    """
 
     machine: str
     state_machines: tuple[str, ...] = ()
     global_states: tuple[str, ...] = ()
     events: tuple[str, ...] = ()
     faults: FaultSpecification = field(default_factory=FaultSpecification)
-    records: list[TimelineRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    kind: list[RecordKind] = field(default_factory=list)
+    time: list[float] = field(default_factory=list)
+    host: list[str] = field(default_factory=list)
+    event: list[str | None] = field(default_factory=list)
+    new_state: list[str | None] = field(default_factory=list)
+    fault: list[str | None] = field(default_factory=list)
+
+    @property
+    def columns(self) -> tuple[list, list, list, list, list, list]:
+        """The record columns, in :class:`TimelineRecord` field order."""
+        return self.kind, self.time, self.host, self.event, self.new_state, self.fault
+
+    @property
+    def records(self) -> list[TimelineRecord]:
+        """Every record in recording order, built from the columns."""
+        return list(map(make_record, zip(*self.columns, repeat(None))))
 
     def add_state_change(self, event: str, new_state: str, time: float, host: str) -> TimelineRecord:
-        """Append a state-change record and return it."""
-        record = make_record((RecordKind.STATE_CHANGE, time, host, event, new_state, None, None))
-        self.records.append(record)
-        return record
+        """Append a state-change record and return a view of it."""
+        return self._append(
+            make_record((RecordKind.STATE_CHANGE, time, host, event, new_state, None, None))
+        )
 
     def add_fault_injection(self, fault: str, time: float, host: str) -> TimelineRecord:
-        """Append a fault-injection record and return it."""
-        record = make_record((RecordKind.FAULT_INJECTION, time, host, None, None, fault, None))
-        self.records.append(record)
+        """Append a fault-injection record and return a view of it."""
+        return self._append(
+            make_record((RecordKind.FAULT_INJECTION, time, host, None, None, fault, None))
+        )
+
+    def _append(self, record: TimelineRecord) -> TimelineRecord:
+        kind, time, host, event, new_state, fault, _ = record
+        self.kind.append(kind)
+        self.time.append(time)
+        self.host.append(host)
+        self.event.append(event)
+        self.new_state.append(new_state)
+        self.fault.append(fault)
         return record
 
     def add_note(self, text: str) -> None:
@@ -119,21 +158,17 @@ class LocalTimeline:
 
     def hosts(self) -> tuple[str, ...]:
         """Hosts this node executed on, in first-seen order."""
-        seen: list[str] = []
-        for record in self.records:
-            if record.host not in seen:
-                seen.append(record.host)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.host))
 
     def is_empty(self) -> bool:
         """Whether the timeline holds no records."""
-        return not self.records
+        return not self.kind
 
     def final_state(self) -> str | None:
         """The last recorded state, or ``None`` if no state change happened."""
-        for record in reversed(self.records):
-            if record.is_state_change():
-                return record.new_state
+        for kind, new_state in zip(reversed(self.kind), reversed(self.new_state)):
+            if kind is RecordKind.STATE_CHANGE:
+                return new_state
         return None
 
 

@@ -9,6 +9,7 @@ that print them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Mapping, Sequence
 
 from repro.apps.election import (
@@ -270,7 +271,8 @@ def clock_sync_quality(
                     continue
                 alpha_widths.append(bounds.alpha_width)
                 beta_widths.append(bounds.beta_width)
-            uncertainties.extend(entry.width for entry in experiment.global_timeline.entries)
+            timeline = experiment.global_timeline
+            uncertainties.extend(map(sub, timeline.upper, timeline.lower))
         results.append(
             ClockSyncQuality(
                 messages_per_phase=count,

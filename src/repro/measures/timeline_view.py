@@ -87,7 +87,8 @@ class TimelineView:
 
         ``time_policy`` selects how each event's ``[lower, upper]`` interval
         is collapsed to a single instant: ``"midpoint"`` (the default, used
-        by the Figure 4.2 example), ``"lower"``, or ``"upper"``.
+        by the Figure 4.2 example), ``"lower"``, or ``"upper"``.  The view
+        reads the timeline's columns through its per-machine index.
         """
         if time_policy not in TIME_POLICIES:
             raise MeasureError(f"unknown time policy {time_policy!r}; expected one of {TIME_POLICIES}")
@@ -96,20 +97,22 @@ class TimelineView:
         events: dict[str, list[tuple[str, str, float]]] = {}
         start = timeline.start
         end = timeline.horizon
+        if time_policy == "midpoint":
+            bounds = zip(timeline.lower, timeline.upper)
+            instants = [0.5 * (lower + upper) for lower, upper in bounds]
+        else:
+            instants = getattr(timeline, time_policy)
+        event_column, state_column = timeline.event, timeline.new_state
         for machine in timeline.machines():
-            changes = timeline.state_changes(machine)
-            if time_policy == "midpoint":
-                times = [change.midpoint for change in changes]
-            else:
-                times = [getattr(change, time_policy) for change in changes]
             intervals: dict[str, list[tuple[float, float]]] = {}
             occurrences: list[tuple[str, str, float]] = []
             previous_state = INITIAL_STATE
             previous_time = start
-            for change, time in zip(changes, times):
+            for position in timeline.change_positions(machine):
+                time = instants[position]
                 intervals.setdefault(previous_state, []).append((previous_time, time))
-                occurrences.append((previous_state, change.event, time))
-                previous_state = change.new_state
+                occurrences.append((previous_state, event_column[position], time))
+                previous_state = state_column[position]
                 previous_time = time
             intervals.setdefault(previous_state, []).append((previous_time, end))
             state_intervals[machine] = intervals

@@ -34,6 +34,9 @@ Three workflows hang off the class:
 * **Re-analysis.**  :meth:`load_results` / :meth:`load_analysis` rebuild
   campaign results straight from disk — zero simulator invocations — so
   measure-phase iteration costs seconds, not campaign-hours.
+  :meth:`load_analysis` streams the archive one study at a time and
+  returns slimmed experiments, as the live pipeline does;
+  :meth:`load_results` returns the raw payloads.
 
 Records are append-only; a re-run experiment appends a new record and the
 reader keeps the *last valid* record per experiment index.  Lines that fail
@@ -434,42 +437,41 @@ class CampaignStore:
 
     # -- run once, analyze many --------------------------------------------------------
 
-    def load_results(self, campaign: CampaignConfig | None = None) -> "CampaignResult":
-        """Rebuild a :class:`~repro.core.campaign.CampaignResult` from disk.
+    def _stored_studies(
+        self, campaign: CampaignConfig | None
+    ) -> tuple[CampaignConfig, Iterator[tuple["StudyConfig", dict[int, ExperimentResult]]]]:
+        """The campaign configuration, and an iterator over each study's config and records.
 
         With ``campaign`` given, its configurations are validated against
-        the manifest and used in the result (so downstream code sees the
-        real :class:`StudyConfig` objects).  Without it, each study gets a
-        :class:`StoredStudyConfig` stub reconstructed from the manifest and
-        the recorded timelines — sufficient for the analysis and measure
-        phases, incapable of re-running the simulator by construction.
-
-        Either way the simulator is never invoked: everything comes off
-        disk, ordered by experiment index.
+        the manifest and used.  Without it, each study gets a
+        :class:`StoredStudyConfig` stub (see :meth:`_stub_studies`).
+        Studies are read one at a time, as the iterator is advanced.
         """
-        from repro.core.campaign import CampaignResult, StudyResult
-
         manifest = self.read_manifest()
         if campaign is not None:
             manifest.check_compatible(campaign)
-            result = CampaignResult(config=campaign)
-            for study in campaign.studies:
-                records = self.load_study_records(study.name, expected_seeds(study))
-                result.studies[study.name] = StudyResult(
-                    config=study,
-                    experiments=[records[index] for index in sorted(records)],
-                )
-            return result
-
-        # No campaign configuration: reconstruct stub configs from the
-        # manifest and the fault specifications the recorded timelines carry.
+            return campaign, (
+                (study, self.load_study_records(study.name, expected_seeds(study)))
+                for study in campaign.studies
+            )
         # CampaignConfig is bypassed via __new__ because its validation is
         # meaningless for stubs that exist only to name the loaded studies.
         stub_campaign = CampaignConfig.__new__(CampaignConfig)
         stub_campaign.name = manifest.campaign
         stub_campaign.studies = []
         stub_campaign.execution = None  # type: ignore[assignment]
-        result = CampaignResult(config=stub_campaign)
+        return stub_campaign, self._stub_studies(manifest, stub_campaign)
+
+    def _stub_studies(
+        self, manifest: Manifest, stub_campaign: CampaignConfig
+    ) -> Iterator[tuple["StudyConfig", dict[int, ExperimentResult]]]:
+        """Each study's records, under a stub config rebuilt from the manifest.
+
+        A stub carries the fault specifications the recorded timelines
+        carry — sufficient for the analysis and measure phases, incapable
+        of re-running the simulator by construction — and joins
+        ``stub_campaign`` as its study is read.
+        """
         for name, entry in manifest.studies.items():
             records = self.load_study_records(name)
             faults_by_machine: dict[str, object] = {}
@@ -483,9 +485,27 @@ class CampaignStore:
                 faults_by_machine=faults_by_machine,
             )
             stub_campaign.studies.append(stub)  # type: ignore[arg-type]
-            result.studies[name] = StudyResult(
-                config=stub,  # type: ignore[arg-type]
-                experiments=[records[index] for index in sorted(records)],
+            yield stub, records  # type: ignore[misc]
+
+    def load_results(self, campaign: CampaignConfig | None = None) -> "CampaignResult":
+        """Rebuild a :class:`~repro.core.campaign.CampaignResult` from disk.
+
+        With ``campaign`` given, its configurations are validated against
+        the manifest and used in the result (so downstream code sees the
+        real :class:`StudyConfig` objects).  Without it, each study gets a
+        :class:`StoredStudyConfig` stub reconstructed from the manifest and
+        the recorded timelines.
+
+        Either way the simulator is never invoked: everything comes off
+        disk, ordered by experiment index, raw payloads included.
+        """
+        from repro.core.campaign import CampaignResult, StudyResult
+
+        config, studies = self._stored_studies(campaign)
+        result = CampaignResult(config=config)
+        for study, records in studies:
+            result.studies[study.name] = StudyResult(
+                config=study, experiments=[records[index] for index in sorted(records)]
             )
         return result
 
@@ -494,12 +514,33 @@ class CampaignStore:
 
         This is the post-hoc re-analysis entry point: iterate on measures,
         time policies, or verification logic against an archived campaign
-        without paying any simulation cost.  Returns the same
-        :class:`~repro.pipeline.CampaignAnalysis` the live pipeline would.
+        without paying any simulation cost.  Returns what the live
+        pipeline returns by default: every analysed experiment's raw
+        ``local_timelines`` / ``sync_messages`` are dropped once its
+        analysis has consumed them (:meth:`load_results` gives the raw
+        payloads).  Studies are read and analysed one at a time, so the
+        archive's records are never all in memory at once.
         """
-        from repro.pipeline import analyze_campaign
+        from repro.core.campaign import CampaignResult, StudyResult
+        from repro.pipeline import CampaignAnalysis, StudyAnalysis, analyze_experiment
 
-        return analyze_campaign(self.load_results(campaign))
+        config, studies = self._stored_studies(campaign)
+        analysis = CampaignAnalysis(campaign=CampaignResult(config=config))
+        for study, records in studies:
+            faults = study.fault_specifications()
+            experiments = []
+            for index in sorted(records):
+                analyzed = analyze_experiment(records.pop(index), faults)
+                analyzed.result = analyzed.result.slimmed()
+                experiments.append(analyzed)
+            study_result = StudyResult(
+                config=study, experiments=[experiment.result for experiment in experiments]
+            )
+            analysis.campaign.studies[study.name] = study_result
+            analysis.studies[study.name] = StudyAnalysis(
+                study=study_result, experiments=experiments
+            )
+        return analysis
 
     # -- resume support (used by the execution engine) ---------------------------------
 

@@ -19,8 +19,8 @@ the very same :func:`~repro.store.format.result_to_dict` mapping the JSONL
 codec uses, so the two codecs are bit-exact against each other by
 construction: floats in the tables are raw IEEE-754 doubles, floats in the
 meta line round-trip through ``repr`` exactly as in JSONL.  The record
-table is filled from ``result_to_dict``'s rows and read back straight
-into :class:`~repro.core.timeline.TimelineRecord` tuples; the sync table
+table is filled from each timeline's columns and read back straight into
+them, one ``.tolist()`` per column, with no per-record object; the sync table
 is the experiment's :class:`~repro.analysis.clock_sync.SyncTable` column
 for column — written from its arrays, read back as views of the block's
 bytes — and never passes through per-message rows or objects.
@@ -49,17 +49,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from itertools import repeat
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.analysis.clock_sync import SyncTable
 from repro.core.campaign import ExperimentResult
-from repro.core.timeline import make_record
 from repro.errors import StoreError, StoreIntegrityError
-from repro.store.format import RECORD_KINDS, result_from_dict, result_to_dict
+from repro.store.format import RECORD_KINDS, result_from_dict, result_to_dict, timeline_meta
 
 #: Version stamp embedded in every block header; bumped on any change that
 #: an old reader could misinterpret.
@@ -114,15 +112,15 @@ def encode_block(result: ExperimentResult) -> bytes:
     receiver, message by message).
     """
     table = SyncTable.of(result.sync_messages)
-    meta = result_to_dict(replace(result, sync_messages=SyncTable()))
+    meta = result_to_dict(result.slimmed())
     pool: dict[str | None, int] = {None: 0}
     intern = pool.setdefault
 
     record_rows: list[tuple] = []
-    for machine in sorted(meta["local_timelines"]):
-        timeline = meta["local_timelines"][machine]
-        rows = timeline.pop("records")
-        timeline["record_count"] = len(rows)
+    for machine in sorted(result.local_timelines):
+        timeline = result.local_timelines[machine]
+        meta["local_timelines"][machine] = timeline_meta(timeline)
+        meta["local_timelines"][machine]["record_count"] = len(timeline.kind)
         record_rows.extend(
             (
                 kind,
@@ -132,7 +130,7 @@ def encode_block(result: ExperimentResult) -> bytes:
                 intern(state, len(pool)),
                 intern(fault, len(pool)),
             )
-            for kind, time, host, event, state, fault in rows
+            for kind, time, host, event, state, fault in zip(*timeline.columns)
         )
     sender, receiver = np.asarray(table.sender), np.asarray(table.receiver)
     pool_code = np.zeros(len(table.hosts), dtype="<i4")
@@ -209,41 +207,35 @@ def decode_block(header: dict[str, Any], payload: bytes) -> ExperimentResult:
         _check_codes(records, "host", "fault", 0, len(pool))
         _check_codes(sync, "sender", "receiver", 1, len(pool))
         # .tolist() materializes native Python ints/floats in one C pass per
-        # column and every later step maps or zips whole columns in C: the
-        # records are built straight from the columns, with no row lists.
+        # column, and each timeline's columns are slices of these lists:
+        # no row or record object is built.
         kind, time, host, event, state, fault = [
             records[name].tolist() for name, _ in RECORD_DTYPE_FIELDS
         ]
         strings = pool.__getitem__
-        built = list(
-            map(
-                make_record,
-                zip(
-                    map(RECORD_KINDS.__getitem__, kind),
-                    time,
-                    map(strings, host),
-                    map(strings, event),
-                    map(strings, state),
-                    map(strings, fault),
-                    repeat(None),
-                ),
-            )
-        )
+        kind = list(map(RECORD_KINDS.__getitem__, kind))
+        host, event, state, fault = [
+            list(map(strings, column)) for column in (host, event, state, fault)
+        ]
         # Sorted explicitly rather than trusting the meta line's key order:
         # the concatenation order is part of the format, not of the JSON.
         timelines = meta["local_timelines"]
         machines = sorted(timelines)
         counts = [timelines[machine].pop("record_count") for machine in machines]
-        # result_from_dict rebuilds every timeline but its records, which
-        # are the machine's slice of the records built above.
+        # result_from_dict rebuilds every timeline but its records, whose
+        # columns are the machine's slices of the columns above.
         for machine in machines:
             timelines[machine]["records"] = ()
         meta["sync_messages"] = ()
         result = result_from_dict(meta)
         cursor = 0
         for machine, count in zip(machines, counts):
-            result.local_timelines[machine].records = built[cursor : cursor + count]
-            cursor += count
+            timeline = result.local_timelines[machine]
+            stop = cursor + count
+            timeline.kind, timeline.time = kind[cursor:stop], time[cursor:stop]
+            timeline.host, timeline.event = host[cursor:stop], event[cursor:stop]
+            timeline.new_state, timeline.fault = state[cursor:stop], fault[cursor:stop]
+            cursor = stop
         # The sync table stays four column views of the block's bytes,
         # coded against the block pool.
         result.sync_messages = SyncTable(

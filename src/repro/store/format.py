@@ -39,7 +39,7 @@ from repro.core.specs.fault_spec import (
     FaultSpecification,
     FaultTrigger,
 )
-from repro.core.timeline import LocalTimeline, RecordKind, make_record
+from repro.core.timeline import LocalTimeline, RecordKind
 from repro.errors import SpecificationError, StoreIntegrityError
 from repro.sim.clock import ClockParameters
 from repro.sim.topology import NetworkFaultSpec
@@ -74,13 +74,8 @@ def _checksum(payload: dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def timeline_to_dict(timeline: LocalTimeline) -> dict[str, Any]:
-    """Map one local timeline to a JSON-serializable dictionary.
-
-    Records are stored as compact six-element lists
-    ``[kind, time, host, event, new_state, fault]`` because they dominate
-    the record volume of a campaign; everything else keeps named keys.
-    """
+def timeline_meta(timeline: LocalTimeline) -> dict[str, Any]:
+    """Everything :func:`timeline_to_dict` maps but the record table."""
     return {
         "machine": timeline.machine,
         "state_machines": list(timeline.state_machines),
@@ -91,19 +86,24 @@ def timeline_to_dict(timeline: LocalTimeline) -> dict[str, Any]:
             + ([fault.network.to_token()] if fault.network is not None else [])
             for fault in timeline.faults
         ],
-        "records": [
-            [
-                int(record.kind),
-                record.time,
-                record.host,
-                record.event,
-                record.new_state,
-                record.fault,
-            ]
-            for record in timeline.records
-        ],
         "notes": list(timeline.notes),
     }
+
+
+def timeline_to_dict(timeline: LocalTimeline) -> dict[str, Any]:
+    """Map one local timeline to a JSON-serializable dictionary.
+
+    Records are stored as compact six-element lists
+    ``[kind, time, host, event, new_state, fault]`` — the timeline's
+    columns read row by row — because they dominate the record volume of
+    a campaign; everything else keeps named keys.
+    """
+    data = timeline_meta(timeline)
+    data["records"] = [
+        [int(kind), time, host, event, new_state, fault]
+        for kind, time, host, event, new_state, fault in zip(*timeline.columns)
+    ]
+    return data
 
 
 @lru_cache(maxsize=256)
@@ -129,7 +129,11 @@ def _fault_specification(entries: tuple[tuple[str, ...], ...]) -> FaultSpecifica
 
 
 def timeline_from_dict(data: dict[str, Any]) -> LocalTimeline:
-    """Rebuild a :class:`LocalTimeline` from :func:`timeline_to_dict` output."""
+    """Rebuild a :class:`LocalTimeline` from :func:`timeline_to_dict` output.
+
+    The record rows are transposed into the timeline's columns in one
+    pass; every row must hold the same six fields.
+    """
     timeline = LocalTimeline(
         machine=data["machine"],
         state_machines=tuple(data["state_machines"]),
@@ -138,13 +142,15 @@ def timeline_from_dict(data: dict[str, Any]) -> LocalTimeline:
         faults=_fault_specification(tuple(map(tuple, data["faults"]))),
         notes=list(data["notes"]),
     )
-    # The record table dominates campaign-scale decode time, so this loop
-    # stays lean: dict kind lookup, records built as plain tuples.
-    kinds = RECORD_KINDS
-    timeline.records = [
-        make_record((kinds[kind], time, host, event, new_state, fault, None))
-        for kind, time, host, event, new_state, fault in data["records"]
-    ]
+    rows = data["records"]
+    if rows:
+        kind, time, host, event, new_state, fault = zip(*rows, strict=True)
+        timeline.kind = list(map(RECORD_KINDS.__getitem__, kind))
+        timeline.time = list(time)
+        timeline.host = list(host)
+        timeline.event = list(event)
+        timeline.new_state = list(new_state)
+        timeline.fault = list(fault)
     return timeline
 
 

@@ -150,7 +150,14 @@ class GatedRunner(CampaignRunner):
 
 def killer_of(victims: int, gate: Path) -> type[CampaignCoordinator]:
     """A coordinator that SIGKILLs the first ``victims`` distinct workers to
-    complete anything, then opens ``gate`` (see :class:`GatedRunner`)."""
+    complete anything, then opens ``gate`` (see :class:`GatedRunner`).
+
+    Each victim is joined before the gate opens, so its pipe has closed
+    and its death is readable before any survivor can deliver more
+    completions: a test that stops consuming early (the coordinator-death
+    test) still reads the death, however long a large process takes to be
+    torn down.
+    """
     GatedRunner.gate = str(gate)
 
     class Killer(CampaignCoordinator):
@@ -159,7 +166,9 @@ def killer_of(victims: int, gate: Path) -> type[CampaignCoordinator]:
         def chaos_on_completion(self, worker_id, study_index, experiment_index):
             if len(self.killed) < victims and worker_id not in self.killed:
                 self.killed.append(worker_id)
-                os.kill(self.workers[worker_id].process.pid, signal.SIGKILL)
+                victim = self.workers[worker_id].process
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10.0)
                 if len(self.killed) == victims:
                     gate.write_text("open")
 

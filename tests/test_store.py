@@ -494,6 +494,29 @@ class TestZeroSimulationReanalysis:
         from_disk = campaign_measures_of(store.load_analysis())
         assert from_disk == baseline
 
+    def test_load_analysis_returns_what_the_live_pipeline_does(self, tmp_path):
+        # Re-analysis slims every experiment exactly as the live pipeline
+        # does by default; only load_results hands back raw payloads.
+        campaign = build_campaign()
+        store = CampaignStore(tmp_path / "c")
+        live = run_and_analyze(campaign, store=store)
+        for loaded in (store.load_analysis(campaign), store.load_analysis()):
+            assert campaign_measures_of(loaded) == campaign_measures_of(live)
+            for name, study in loaded.studies.items():
+                twins = live.studies[name].experiments
+                assert loaded.campaign.studies[name].experiments == [
+                    experiment.result for experiment in study.experiments
+                ]
+                for experiment, twin in zip(study.experiments, twins, strict=True):
+                    assert not experiment.result.local_timelines
+                    assert not len(experiment.result.sync_messages)
+                    assert experiment.result == twin.result
+                    assert experiment.global_timeline == twin.global_timeline
+                    assert experiment.verification == twin.verification
+        for study in store.load_results(campaign).studies.values():
+            for result in study.experiments:
+                assert result.local_timelines and len(result.sync_messages)
+
     def test_fully_recorded_campaign_resumes_without_simulation(
         self, tmp_path, monkeypatch
     ):

@@ -116,7 +116,8 @@ class TestColumnarBlocks:
         # and no sync messages; zero-row arrays must frame cleanly.
         result = synthetic_result(2)
         for timeline in result.local_timelines.values():
-            timeline.records.clear()
+            for column in timeline.columns:
+                column.clear()
         result.sync_messages.clear()
         check_block_roundtrip(result)
 
@@ -555,15 +556,50 @@ class TestColumnarStore:
         assert campaign_measures_of(resumed) == baseline
 
 
+class TestReadPathObjects:
+    """The re-analysis read path leaves columns behind, not objects per record."""
+
+    def test_reading_builds_no_per_record_objects(self):
+        # The timeline side of test_decoding_builds_no_per_message_objects:
+        # decoding a block, then analysing it and viewing its global
+        # timeline, leaves columns behind, not a record, entry or period
+        # per record.  After a collection (which untracks tuples of atoms)
+        # the count of new tracked objects is no larger for 1 004 records
+        # than for 4.
+        from repro.measures import TimelineView
+        from repro.pipeline import analyze_experiment
+
+        def objects_left_by_reading(extra_records: int) -> int:
+            result = sync_heavy_result()
+            timeline = result.local_timelines[min(result.local_timelines)]
+            for step in range(extra_records):
+                timeline.add_state_change("go", ("UP", "READY")[step % 2], 5.0 + step, "h0")
+            faults = {machine: t.faults for machine, t in result.local_timelines.items()}
+            header, payload = split_block(encode_block(result))
+            analyze_experiment(decode_block(header, payload), faults)  # warm the caches
+            gc.collect()
+            before = len(gc.get_objects())
+            analyzed = analyze_experiment(decode_block(header, payload), faults)
+            view = TimelineView.from_global_timeline(analyzed.global_timeline)
+            gc.collect()
+            grown = len(gc.get_objects()) - before
+            assert view.machines() and len(analyzed.global_timeline.entries) >= extra_records
+            return grown
+
+        objects_left_by_reading(0)  # first-use allocations of numpy and the solver
+        assert objects_left_by_reading(1000) <= objects_left_by_reading(0) < 60
+
+
 class TestReadPathCallBudget:
-    """The re-analysis read path builds its records without per-record frames."""
+    """The re-analysis read path fills its columns without per-record frames."""
 
     #: Python frames entered (``sys.setprofile`` ``call`` events, generator
     #: resumptions included) by decode + ``analyze_experiment`` +
     #: ``TimelineView.from_global_timeline`` of the first block below: 471
     #: when records, entries and state periods were frozen dataclasses and
-    #: the envelopes were evaluated by bisection at every beta; 157 since.
-    BUDGET = 172
+    #: the envelopes were evaluated by bisection at every beta; 157 with
+    #: named-tuple records and entries; 132 since timelines are columns.
+    BUDGET = 145
 
     def test_decode_analyse_and_view_stay_within_call_budget(self):
         from test_parent_archive import ARCHIVE, parent_campaign
